@@ -1,13 +1,11 @@
 #include "harness/experiment_runner.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <set>
-#include <unordered_map>
 
 #include "core/fncc.hpp"
 #include "exec/domain_scheduler.hpp"
@@ -62,12 +60,14 @@ bool CompletionBefore(const CompletionRecord& a, const CompletionRecord& b) {
   return a.spec.launch_serial < b.spec.launch_serial;
 }
 
-/// Window telemetry opt-in: the spec key, or FNCC_PDES_STATS set to
-/// anything but "" / "0" in the environment.
-bool PdesStatsRequested(const ExperimentSpec& point) {
-  if (point.output.pdes_stats) return true;
-  const char* env = std::getenv("FNCC_PDES_STATS");
-  return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
+/// Adds one sender's counters to the point totals. SenderQp freezes them
+/// at completion, so a completed flow reads the same whenever it is
+/// harvested.
+void HarvestSender(const SenderQp& qp, ExperimentPointResult* result) {
+  result->asymmetric_acks += qp.asymmetric_acks();
+  if (const auto* fncc = dynamic_cast<const FnccAlgorithm*>(&qp.cc())) {
+    result->lhcs_triggers += fncc->lhcs_triggers();
+  }
 }
 
 /// Schedules `qp`'s abort at `stop` — routed through the flow table's
@@ -148,14 +148,13 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
   // the lookahead window from the narrowest cross-lane link.
   net.SealDomains();
 
+  // Every point pulls its flows from the workload's FlowSource (a
+  // VectorFlowSource over the eager builder unless the workload streams
+  // natively). Either way the flows, their order and the RNG draws are the
+  // eager builder's.
   WorkloadHosts roles{topo.hosts, topo.senders, topo.receiver};
-  // Streaming injection pulls from the workload's FlowSource below; the
-  // eager path materializes the whole flow list up front.
-  std::vector<GeneratedFlow> flows;
-  if (!streaming) {
-    flows = WorkloadRegistry::Generate(point.workload, rng, roles, wl_params);
-    result.flows_total = flows.size();
-  }
+  std::unique_ptr<FlowSource> source =
+      WorkloadRegistry::MakeSource(point.workload, rng, roles, wl_params);
 
   // Completion hook before launch (records only — schedules nothing, so
   // the event stream is untouched). Records go to the active lane's tally
@@ -173,21 +172,9 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
       tally.retransmits += qp.retransmit_events();
     };
   }
-
-  // Streaming bookkeeping: the table id a launch minted -> the flow's QP
-  // (counters are harvested before the slot is released) and its owning
-  // lane (Release cancels the QP's pending events, and Simulator::Cancel
-  // is only valid from the lane that scheduled them — the drain below
-  // re-enters that lane's scope per release). Touched only from the
-  // coordinator thread between RunUntil chunks, while the lane workers
-  // are parked at the window barrier.
-  struct LiveFlow {
-    SenderQp* qp = nullptr;
-    int lane = 0;
-  };
-  std::unordered_map<FlowId, LiveFlow> live;
-  // The fabric-shared flow table (every host holds the same one); abort
-  // timers are routed through its generation check in both launch paths.
+  // The fabric-shared flow table (every host holds the same one): abort
+  // timers route through its generation check, and streamed completions
+  // release their slots to it.
   FlowTable* flow_table =
       &static_cast<Host*>(net.hosts().front())->flow_table();
 
@@ -195,8 +182,11 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
   // Chunks partition time — RunUntil(T) processes every event at t <= T,
   // same-time cascades included — and equal-key records (one delivery
   // batch completing several flows) stay in lane push order under
-  // stable_sort, so the chunk-by-chunk emission order equals the old
-  // single global sort at every domain count.
+  // stable_sort, so the chunk-by-chunk emission order equals one global
+  // sort at every domain count. A streamed point also harvests each
+  // completed flow's counters and recycles its FlowTable slot here; all of
+  // it runs coordinator-side between RunUntil chunks, while the lane
+  // workers are parked at the window barrier.
   std::vector<CompletionRecord> chunk;
   const auto drain = [&] {
     chunk.clear();
@@ -209,17 +199,10 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
     std::stable_sort(chunk.begin(), chunk.end(), CompletionBefore);
     for (CompletionRecord& r : chunk) {
       if (streaming) {
-        const auto it = live.find(r.spec.id);
-        // Every completion is a live registered flow; harvest the frozen
-        // QP counters before the slot goes away.
-        result.asymmetric_acks += it->second.qp->asymmetric_acks();
-        if (const auto* fncc =
-                dynamic_cast<const FnccAlgorithm*>(&it->second.qp->cc())) {
-          result.lhcs_triggers += fncc->lhcs_triggers();
-        }
         const FlowId table_id = r.spec.id;
-        // Re-stamp with the dense launch serial — the id the eager path
-        // would have minted — so streamed records and CSV rows are
+        HarvestSender(*flow_table->Lookup(table_id)->qp(), &result);
+        // Re-stamp with the dense launch serial — the id an unreleased
+        // table mints — so streamed records and CSV rows are
         // byte-identical to eager runs.
         r.spec.id = static_cast<FlowId>(r.spec.launch_serial);
         // Release under the flow's owning lane: tearing the QP down
@@ -227,8 +210,7 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
         // the lane queue that holds them. Safe while workers are parked —
         // the barrier's arrival chain ordered every lane's window work
         // before this coordinator-side drain.
-        Simulator::ActiveLaneScope scope(&sim, it->second.lane);
-        live.erase(it);
+        Simulator::ActiveLaneScope scope(&sim, net.node(r.spec.src)->domain());
         flow_table->Release(table_id);
       }
       if (sink != nullptr) {
@@ -249,24 +231,71 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
                 10 * sc.mtu_bytes
           : 0;
 
-  std::vector<SenderQp*> qps;
-  qps.reserve(flows.size());
-  for (GeneratedFlow& gf : flows) {
-    if (gf.spec.size_bytes == 0) gf.spec.size_bytes = auto_budget;
-    // Launch (and the stop-abort timer) under the source host's lane: the
-    // start/abort events belong to the lane that owns the host.
-    Simulator::ActiveLaneScope scope(&sim, net.node(gf.spec.src)->domain());
-    SenderQp* qp = LaunchFlow(net, sc, gf.spec);
-    qps.push_back(qp);
-    if (gf.stop < kTimeInfinity) {
-      ScheduleFlowAbort(sim, flow_table, gf.stop, qp);
+  // Launches every pending flow starting at or before `horizon`. An eager
+  // point is a streamed one with an unbounded horizon and no slot release:
+  // its single call launches the whole workload before the monitors exist.
+  // A streamed point launches one lookahead window ahead of the clock, so
+  // live per-flow state is bounded by the window's concurrency, not the
+  // workload length. Each launch enters the source host's lane (the start
+  // event and abort timer land in the owning queue, scheduled before the
+  // next RunUntil chunk, so the window engine's NextEventTime always sees
+  // pending starts and the lookahead never skips one).
+  GeneratedFlow next_flow;
+  bool have_next = source->Next(&next_flow);
+  Time last_start = 0;
+  std::uint64_t launched = 0;
+  std::vector<SenderQp*> eager_qps;  // launch order, for per-flow monitors
+  const auto launch_until = [&](Time horizon) {
+    for (; have_next && next_flow.spec.start_time <= horizon;
+         have_next = source->Next(&next_flow)) {
+      FlowSpec& spec = next_flow.spec;
+      if (streaming) {
+        if (spec.start_time < last_start) {
+          throw SpecError(
+              "streaming launch (run.launch_window_us) needs a workload "
+              "sorted by start time: flow " +
+              std::to_string(launched + 1) + " starts at " +
+              std::to_string(spec.start_time) +
+              " after a flow starting at " + std::to_string(last_start));
+        }
+        last_start = spec.start_time;
+        if (spec.size_bytes == 0) {
+          throw SpecError(
+              "streaming launch needs sized flows (duration-budget flows "
+              "with size_bytes = 0 require the eager path)");
+        }
+      } else if (spec.size_bytes == 0) {
+        spec.size_bytes = auto_budget;
+      }
+      // The dense launch serial: the identity behind the flow-start order
+      // word and the drained completion record, so equal-time cross-lane
+      // merges order by launch position even when the table id is a
+      // recycled slot (without releases the two coincide).
+      spec.launch_serial = ++launched;
+      Simulator::ActiveLaneScope scope(&sim, net.node(spec.src)->domain());
+      SenderQp* qp = LaunchFlow(net, sc, spec);
+      if (next_flow.stop < kTimeInfinity) {
+        // Safe with recycled slots: the timer holds the FlowId, and the
+        // table's generation check turns a fired timer for a completed
+        // (released) flow into a no-op — even if the slot already hosts
+        // a new flow.
+        ScheduleFlowAbort(sim, flow_table, next_flow.stop, qp);
+      }
+      if (!streaming) eager_qps.push_back(qp);
     }
-  }
+  };
+  const auto horizon = [&] {
+    return streaming ? sim.Now() + point.run.launch_window : kTimeInfinity;
+  };
+  launch_until(horizon());
 
   // Monitors; their lifetimes must cover the run loop below. Creation
-  // order (queue, utilization, then per-flow pacing/goodput pairs) is the
-  // historical micro-runner order — it fixes the (time, seq) order of
-  // simultaneous sampler events and therefore the exact event stream.
+  // order (queue, utilization, then per-flow pacing/goodput pairs) fixes
+  // the (time, seq) order of simultaneous sampler events and therefore the
+  // exact event stream.
+  // Streamed points have none (the spec validator rejects monitor with a
+  // launch window: per-flow samplers hold raw QP pointers that a slot
+  // release would leave dangling).
   const bool monitored =
       !streaming && point.run.monitor && topo.has_congestion_point();
   std::unique_ptr<PeriodicSampler> queue_sampler;
@@ -276,7 +305,7 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
   std::vector<std::shared_ptr<RateMeter>> goodput_meters;
   // Sized whether or not the monitors run, so callers can index per-flow
   // series unconditionally (empty series when unmonitored).
-  result.flows.resize(flows.size());
+  result.flows.resize(eager_qps.size());
   if (monitored) {
     // Samplers schedule their first tick at construction and then
     // self-reschedule from inside their own events, so pinning the
@@ -300,8 +329,8 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
           },
           &result.utilization);
     }
-    for (std::size_t i = 0; i < qps.size(); ++i) {
-      SenderQp* qp = qps[i];
+    for (std::size_t i = 0; i < eager_qps.size(); ++i) {
+      SenderQp* qp = eager_qps[i];
       Simulator::ActiveLaneScope scope(
           &sim, net.node(qp->spec().src)->domain());
       rate_samplers.push_back(std::make_unique<PeriodicSampler>(
@@ -323,101 +352,36 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
   // stay parked at the window barrier across every RunUntil chunk below.
   // Single-lane (or single-thread, untelemetered) points pick the serial
   // reference path instead.
-  const bool pdes_stats_on = PdesStatsRequested(point);
   DomainScheduler sched(&sim, intra_threads,
-                        pdes_stats_on ? &result.pdes_stats : nullptr);
-  if (streaming) {
-    // Streaming injection: launch everything starting inside one lookahead
-    // window of the clock, run to the window edge, drain (and release) the
-    // completions, repeat. Live per-flow state is bounded by the window's
-    // concurrency, not the workload length. Composes with any exec_domains
-    // partitioning: each launch enters the source host's lane (the start
-    // event and abort timer land in the owning queue, pre-scheduled before
-    // the next RunUntil chunk, so the window engine's NextEventTime always
-    // sees pending starts and the lookahead never skips one), and the
-    // per-lane completion tallies merge in canonical launch-serial order
-    // at each drain. All loop bookkeeping (source pull, launches, live
-    // map, releases) is coordinator-side between chunks, while the lane
-    // workers are parked at the window barrier.
-    const Time window = point.run.launch_window;
-    std::unique_ptr<FlowSource> source =
-        WorkloadRegistry::MakeSource(point.workload, rng, roles, wl_params);
-    GeneratedFlow next_flow;
-    bool have_next = source->Next(&next_flow);
-    Time last_start = 0;
-    std::uint64_t launched = 0;
-    while (true) {
-      const Time horizon = sim.Now() + window;
-      while (have_next && next_flow.spec.start_time <= horizon) {
-        if (next_flow.spec.start_time < last_start) {
-          throw SpecError(
-              "streaming launch (run.launch_window_us) needs a workload "
-              "sorted by start time: flow " +
-              std::to_string(launched + 1) + " starts at " +
-              std::to_string(next_flow.spec.start_time) +
-              " after a flow starting at " + std::to_string(last_start));
-        }
-        last_start = next_flow.spec.start_time;
-        if (next_flow.spec.size_bytes == 0) {
-          throw SpecError(
-              "streaming launch needs sized flows (duration-budget flows "
-              "with size_bytes = 0 require the eager path)");
-        }
-        ++launched;
-        // The dense launch serial: the identity the eager path's minted
-        // ids carry implicitly. It rides in the spec through Register to
-        // the flow-start order word and the drained completion record, so
-        // equal-time cross-lane merges order by launch position even
-        // though the table id below is a recycled slot.
-        next_flow.spec.launch_serial = launched;
-        const int lane = net.node(next_flow.spec.src)->domain();
-        Simulator::ActiveLaneScope scope(&sim, lane);
-        SenderQp* qp = LaunchFlow(net, sc, next_flow.spec);
-        if (next_flow.stop < kTimeInfinity) {
-          // Safe with recycled slots: the timer holds the FlowId, and the
-          // table's generation check turns a fired timer for a completed
-          // (released) flow into a no-op — even if the slot already hosts
-          // a new flow (possibly registered by a host in another lane;
-          // the timer itself stays lane-local to this source host).
-          ScheduleFlowAbort(sim, flow_table, next_flow.stop, qp);
-        }
-        live.emplace(qp->spec().id, LiveFlow{qp, lane});
-        have_next = source->Next(&next_flow);
-      }
-      if (!have_next && live.empty()) break;
-      if (sim.Now() >= point.run.max_sim_time) break;
-      Time target = horizon;
-      if (sim.events_pending() == 0) {
-        // Only aborted/stuck flows have no events; with no future flows
-        // either, nothing can make progress.
-        if (!have_next) break;
-        target = next_flow.spec.start_time;  // idle gap: jump to the next
-      }
-      if (target > point.run.max_sim_time) target = point.run.max_sim_time;
-      sched.RunUntil(target);
-      drain();
+                        point.output.pdes_stats ? &result.pdes_stats
+                                                : nullptr);
+  // One stop rule: a fixed-duration point stops at run.duration; any other
+  // point stops once every flow is done, at max_sim_time, or when no
+  // events are left (only aborted or stuck flows, nothing left to launch).
+  // Chunks are one launch window when streaming, else the whole duration
+  // or 2 ms of run-to-completion; outputs do not depend on the chunking.
+  const bool fixed_duration = point.run.duration > 0;
+  const Time end = fixed_duration ? point.run.duration : point.run.max_sim_time;
+  const Time chunk_len = streaming        ? point.run.launch_window
+                         : fixed_duration ? point.run.duration
+                                          : 2 * kMillisecond;
+  while (sim.Now() < end) {
+    if (!fixed_duration && !have_next && result.flows_completed == launched) {
+      break;
     }
-    drain();
-    result.flows_total = launched;
-  } else if (point.run.duration > 0) {
-    sched.RunUntil(point.run.duration);
-    drain();
-  } else {
-    // Run in chunks until every flow finishes (or the wall is hit — only
-    // possible with a broken configuration, thanks to the RTO). Tallies
-    // are empty at each condition check (drained every chunk), so the
-    // emitted count is the completion count.
-    const Time chunk_len = 2 * kMillisecond;
-    while (result.flows_completed < result.flows_total &&
-           sim.Now() < point.run.max_sim_time) {
-      if (sim.events_pending() == 0) break;
-      sched.RunUntil(sim.Now() + chunk_len);
-      drain();
+    Time target = sim.Now() + chunk_len;
+    if (sim.events_pending() == 0) {
+      if (!have_next) break;
+      target = next_flow.spec.start_time;  // idle gap: jump to the next
     }
+    sched.RunUntil(std::min(target, end));
+    drain();
+    launch_until(horizon());
   }
+  drain();
+  result.flows_total = launched;
 
-  if (result.flows_completed < result.flows_total &&
-      point.run.duration <= 0) {
+  if (result.flows_completed < result.flows_total && !fixed_duration) {
     Log(LogLevel::kWarn, sim.Now(), "experiment run incomplete: %zu/%zu flows",
         result.flows_completed, result.flows_total);
   }
@@ -427,28 +391,14 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
     result.resume_frames += sw->resume_frames_sent();
   }
   result.drops = net.TotalDrops();
+  // Counters of every flow still in the table: all of an eager point's,
+  // the incomplete tail of a streamed one (its completed flows were
+  // harvested at release). SenderQp freezes its counters at completion;
+  // incomplete (timed-out or aborted) flows count what they saw.
   for (Endpoint* ep : net.hosts()) {
-    result.out_of_order += static_cast<Host*>(ep)->out_of_order_packets();
-  }
-  // asymmetric_acks sums over *every* QP. SenderQp freezes its counters at
-  // completion, so for completed flows this equals the value the legacy
-  // fat-tree runner captured in its completion hook; incomplete (timed-out
-  // or aborted) flows are additionally counted, where the old hook-only
-  // accounting silently dropped them.
-  for (SenderQp* qp : qps) {
-    result.asymmetric_acks += qp->asymmetric_acks();
-    if (const auto* fncc = dynamic_cast<const FnccAlgorithm*>(&qp->cc())) {
-      result.lhcs_triggers += fncc->lhcs_triggers();
-    }
-  }
-  // Streaming: completed flows were harvested at drain time; what's left
-  // in `live` is the incomplete tail (timed out). The sums are integers,
-  // so the map's iteration order doesn't matter.
-  for (const auto& [id, lf] : live) {
-    result.asymmetric_acks += lf.qp->asymmetric_acks();
-    if (const auto* fncc = dynamic_cast<const FnccAlgorithm*>(&lf.qp->cc())) {
-      result.lhcs_triggers += fncc->lhcs_triggers();
-    }
+    const auto* host = static_cast<const Host*>(ep);
+    result.out_of_order += host->out_of_order_packets();
+    for (const SenderQp* qp : host->qps()) HarvestSender(*qp, &result);
   }
   result.events_processed = sim.events_processed();
   result.pdes_windows = sim.windows_executed();

@@ -1,11 +1,10 @@
-// The unified experiment engine behind fncc_run and every harness batch
-// API. One code path executes any registered topology x workload point:
-// build fabric (registry) -> generate flows (registry) -> launch in order
+// The experiment engine behind fncc_run, the benches and the tests. One
+// code path executes any registered topology x workload point: build
+// fabric (registry) -> pull flows (registry FlowSource) -> launch in order
 // -> optional congestion-point monitors -> run -> collect FCTs + counters.
-// It subsumes the old dumbbell/chain-merge micro runner (duration-bounded
-// elephants with samplers) and the fat-tree runner (run-to-completion flow
-// lists) — those survive as thin adapters over RunResolvedPoint, so their
-// outputs are unchanged.
+// The same run loop serves duration-bounded micro points (dumbbell and
+// chain-merge elephants with samplers), run-to-completion flow lists
+// (fat-tree Poisson, permutation, ...) and streamed injection.
 //
 // Determinism: a point is a pure function of its spec. RunExperiment fans
 // expanded points over exec/SweepRunner with one Simulator + PacketPool +
@@ -55,9 +54,10 @@ struct ExperimentPointResult {
   std::uint64_t lhcs_triggers = 0;  // summed over FNCC senders
   std::uint64_t events_processed = 0;
 
-  // Packet-pool telemetry: see MicroRunResult's original comment — created
-  // is the warm-up high-water mark; acquired - created are allocation-free
-  // packet services.
+  // Packet-pool telemetry: packets heap-allocated vs. served. `created` is
+  // the pools' high-water mark of simultaneously live packets (warm-up
+  // cost); once warm, every further acquire is a recycle, so
+  // acquired - created is the number of allocation-free packet services.
   std::uint64_t pool_packets_created = 0;
   std::uint64_t pool_packets_acquired = 0;
 
@@ -69,9 +69,8 @@ struct ExperimentPointResult {
   std::uint64_t pdes_windows = 0;
 
   /// Window telemetry, filled only when the point ran with
-  /// output.pdes_stats (or FNCC_PDES_STATS=1); see exec/pdes_stats.hpp for
-  /// the machine-variant contract. pdes_stats.participants == 0 means
-  /// telemetry was off.
+  /// output.pdes_stats; see exec/pdes_stats.hpp for the machine-variant
+  /// contract. pdes_stats.participants == 0 means telemetry was off.
   PdesStats pdes_stats;
 
   /// Host wall-clock seconds (telemetry only; excluded from the
@@ -95,15 +94,18 @@ ExperimentPointResult RunExperimentPoint(const ExperimentSpec& point,
                                          FctSink* sink = nullptr);
 
 /// The trusted core: runs `point` with already-resolved topology/workload
-/// params (no validation, no cdf-name lookup). The adapters the legacy
-/// harness APIs are built on use this to inject programmatic params (e.g.
-/// a custom SizeCdf object).
+/// params (no validation, no cdf-name lookup), so callers can inject
+/// programmatic params (e.g. a custom SizeCdf object).
 ///
-/// point.run.launch_window > 0 selects streaming flow injection: flows
-/// are pulled from the workload's FlowSource (which must yield
-/// non-decreasing start times) and launched one lookahead window ahead of
-/// the clock; each drained completion releases its FlowTable slot, so
-/// live per-flow state is O(concurrent flows) instead of O(total flows).
+/// Every point pulls its flows from the workload's FlowSource. By default
+/// (point.run.launch_window = 0) all of them launch before the run, in
+/// generation order, and size-0 flows get a budget that outlasts
+/// run.duration. point.run.launch_window > 0 selects streaming flow
+/// injection: the source must yield sized flows in non-decreasing start
+/// order (SpecError otherwise), each is launched one lookahead window
+/// ahead of the clock, and each drained completion releases its FlowTable
+/// slot, so live per-flow state is O(concurrent flows) instead of O(total
+/// flows).
 /// CSV/record output is unchanged: drained records are re-stamped with
 /// the flow's dense launch serial, the ids the eager path mints. The
 /// streaming path composes with scenario.exec_domains — launches enter

@@ -57,12 +57,13 @@ TEST(DomainSchedulerTest, SchedulerReusableAfterThrow) {
   EXPECT_THROW(sched.RunUntil(Microseconds(10)), ThrowError);
 
   // Same scheduler, fresh events: the error state must have been fully
-  // reset when RunUntil rethrew.
-  std::vector<int> ran;
-  ScheduleInLane(sim, 0, Microseconds(20), [&ran] { ran.push_back(0); });
-  ScheduleInLane(sim, 1, Microseconds(20), [&ran] { ran.push_back(1); });
+  // reset when RunUntil rethrew. One vector per lane: the two lanes' events
+  // run concurrently on different participants.
+  std::vector<int> ran[2];
+  ScheduleInLane(sim, 0, Microseconds(20), [&ran] { ran[0].push_back(0); });
+  ScheduleInLane(sim, 1, Microseconds(20), [&ran] { ran[1].push_back(1); });
   sched.RunUntil(Microseconds(30));
-  EXPECT_EQ(ran.size(), 2u);
+  EXPECT_EQ(ran[0].size() + ran[1].size(), 2u);
   EXPECT_EQ(sim.Now(), Microseconds(30));
 }
 
@@ -86,16 +87,19 @@ TEST(DomainSchedulerTest, DestructibleImmediatelyAfterThrow) {
 
 TEST(DomainSchedulerTest, RepeatedRunUntilReusesParkedWorkers) {
   // The harness shape: many chunked RunUntil calls against one scheduler.
+  // One counter per lane: the two lanes' events run concurrently on
+  // different participants.
   Simulator sim;
   sim.Partition(2);
-  int ran = 0;
+  int ran[2] = {0, 0};
   for (int i = 1; i <= 50; ++i) {
-    ScheduleInLane(sim, i % 2, Microseconds(i), [&ran] { ++ran; });
+    const int lane = i % 2;
+    ScheduleInLane(sim, lane, Microseconds(i), [&ran, lane] { ++ran[lane]; });
   }
   DomainScheduler sched(&sim, 2);
   for (int chunk = 1; chunk <= 5; ++chunk) {
     sched.RunUntil(Microseconds(10 * chunk));
-    EXPECT_EQ(ran, 10 * chunk);
+    EXPECT_EQ(ran[0] + ran[1], 10 * chunk);
     EXPECT_EQ(sim.Now(), Microseconds(10 * chunk));
   }
 }
@@ -104,14 +108,15 @@ TEST(DomainSchedulerTest, WindowTelemetryCountsLanesAndWindows) {
   Simulator sim;
   sim.Partition(2);
   sim.set_domain_lookahead(Microseconds(1));
-  int ran = 0;
+  int ran[2] = {0, 0};  // per lane: the lanes run concurrently
   for (int i = 1; i <= 8; ++i) {
-    ScheduleInLane(sim, i % 2, Microseconds(i), [&ran] { ++ran; });
+    const int lane = i % 2;
+    ScheduleInLane(sim, lane, Microseconds(i), [&ran, lane] { ++ran[lane]; });
   }
   PdesStats stats;
   DomainScheduler sched(&sim, 2, &stats);
   sched.RunUntil(Microseconds(20));
-  EXPECT_EQ(ran, 8);
+  EXPECT_EQ(ran[0] + ran[1], 8);
   EXPECT_EQ(stats.lanes, 2);
   EXPECT_EQ(stats.participants, 2);
   EXPECT_EQ(stats.windows, sim.windows_executed());

@@ -2,7 +2,7 @@
 // must produce bit-identical simulation output (wall_time_seconds is host
 // telemetry and explicitly excluded). This is the determinism contract of
 // exec/SweepRunner plus the per-job Simulator+PacketPool+RNG isolation in
-// the harness batch APIs — the property the fig12-fig15 benches rely on.
+// RunExperimentPoints — the property the fig12-fig15 benches rely on.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -11,9 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/dumbbell_runner.hpp"
 #include "harness/experiment_runner.hpp"
-#include "harness/fat_tree_runner.hpp"
 
 namespace fncc {
 namespace {
@@ -37,8 +35,8 @@ void ExpectSeriesIdentical(const TimeSeries& a, const TimeSeries& b) {
   }
 }
 
-void ExpectMicroResultsIdentical(const MicroRunResult& a,
-                                 const MicroRunResult& b) {
+void ExpectMicroResultsIdentical(const ExperimentPointResult& a,
+                                 const ExperimentPointResult& b) {
   ExpectSeriesIdentical(a.queue_bytes, b.queue_bytes);
   ExpectSeriesIdentical(a.utilization, b.utilization);
   ASSERT_EQ(a.flows.size(), b.flows.size());
@@ -58,40 +56,59 @@ void ExpectMicroResultsIdentical(const MicroRunResult& a,
   // wall_time_seconds deliberately not compared: host telemetry.
 }
 
-std::vector<MicroSweepPoint> DumbbellSweepPoints() {
+/// Two elephants on the Fig. 10 dumbbell (the ExperimentSpec defaults),
+/// flow 1 joining at 40 us, 150 us of monitored run.
+ExperimentSpec ElephantsPoint(CcMode mode, std::uint64_t seed) {
+  ExperimentSpec spec;
+  spec.scenario.mode = mode;
+  spec.scenario.seed = seed;
+  spec.wl.long_flows = {{0, 0}, {1, Microseconds(40)}};
+  spec.run.duration = Microseconds(150);
+  return spec;
+}
+
+/// A run-to-completion Poisson point on a k=4 fat-tree.
+ExperimentSpec FatTreePoint(CcMode mode, int num_flows) {
+  ExperimentSpec spec;
+  spec.topology = "fat_tree";
+  spec.topo.k = 4;
+  spec.workload = "poisson";
+  spec.wl.num_flows = num_flows;
+  spec.wl.load = 0.5;
+  spec.cdf = "web_search";
+  spec.scenario.mode = mode;
+  spec.run.duration = 0;
+  return spec;
+}
+
+std::vector<ExperimentSpec> DumbbellSweepPoints() {
   // A small but non-trivial mix: different CC modes, topologies and seeds,
   // with enough traffic for INT stamping, pacing and sampling to all run.
-  std::vector<MicroSweepPoint> points;
+  std::vector<ExperimentSpec> points;
   const CcMode modes[] = {CcMode::kFncc, CcMode::kHpcc, CcMode::kDcqcn,
                           CcMode::kSwift};
   for (std::size_t m = 0; m < 4; ++m) {
-    MicroSweepPoint point;
-    point.config.scenario.mode = modes[m];
-    point.config.scenario.seed = m + 1;
-    point.config.flows = {{0, 0}, {1, Microseconds(40)}};
-    point.config.duration = Microseconds(150);
-    points.push_back(point);
+    points.push_back(ElephantsPoint(modes[m], m + 1));
   }
   // Two chain-merge points exercise the other topology path.
-  MicroSweepPoint merge;
-  merge.config.scenario.mode = CcMode::kFncc;
-  merge.config.num_switches = 3;
-  merge.config.flows = {{0, 0}, {1, Microseconds(40)}};
-  merge.config.duration = Microseconds(150);
-  merge.merge_switch = 1;
+  ExperimentSpec merge = ElephantsPoint(CcMode::kFncc, ScenarioConfig{}.seed);
+  merge.topology = "chain_merge";
+  merge.topo.num_switches = 3;
+  merge.topo.merge_switch = 1;
   points.push_back(merge);
-  merge.merge_switch = 2;
+  merge.topo.merge_switch = 2;
   points.push_back(merge);
   return points;
 }
 
 TEST(SweepEquivalenceTest, DumbbellSweepBitIdenticalAcrossThreadCounts) {
-  const std::vector<MicroSweepPoint> points = DumbbellSweepPoints();
-  const std::vector<MicroRunResult> serial = RunMicroSweep(points, 1);
+  const std::vector<ExperimentSpec> points = DumbbellSweepPoints();
+  const std::vector<ExperimentPointResult> serial =
+      RunExperimentPoints(points, 1);
   ASSERT_EQ(serial.size(), points.size());
   for (int threads : {2, 8}) {
-    const std::vector<MicroRunResult> parallel =
-        RunMicroSweep(points, threads);
+    const std::vector<ExperimentPointResult> parallel =
+        RunExperimentPoints(points, threads);
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
       SCOPED_TRACE("threads=" + std::to_string(threads) + " point=" +
@@ -104,9 +121,11 @@ TEST(SweepEquivalenceTest, DumbbellSweepBitIdenticalAcrossThreadCounts) {
 TEST(SweepEquivalenceTest, RepeatedParallelRunsAreStable) {
   // Same sweep twice at the same thread count: no run-to-run drift from
   // scheduling, the global uid counter, or pool reuse.
-  const std::vector<MicroSweepPoint> points = DumbbellSweepPoints();
-  const std::vector<MicroRunResult> first = RunMicroSweep(points, 8);
-  const std::vector<MicroRunResult> second = RunMicroSweep(points, 8);
+  const std::vector<ExperimentSpec> points = DumbbellSweepPoints();
+  const std::vector<ExperimentPointResult> first =
+      RunExperimentPoints(points, 8);
+  const std::vector<ExperimentPointResult> second =
+      RunExperimentPoints(points, 8);
   for (std::size_t i = 0; i < first.size(); ++i) {
     SCOPED_TRACE("point=" + std::to_string(i));
     ExpectMicroResultsIdentical(first[i], second[i]);
@@ -118,24 +137,21 @@ TEST(SweepEquivalenceTest, RepeatedParallelRunsAreStable) {
 // bit-identical at 1 and 4 threads for every built-in algorithm, i.e. the
 // dense flow table + tagged CC dispatch changed the arithmetic of nothing.
 // (The before/after half of the check was run against the pre-change tree
-// when this PR landed: identical output, see README "Performance".)
+// when the flow table landed: identical output, see README "Performance".)
 constexpr CcMode kAllModes[] = {
     CcMode::kFncc,  CcMode::kFnccNoLhcs, CcMode::kHpcc,  CcMode::kDcqcn,
     CcMode::kRocc,  CcMode::kTimely,     CcMode::kSwift,
 };
 
 TEST(SweepEquivalenceTest, DumbbellAllSevenModesBitIdentical1v4Threads) {
-  std::vector<MicroSweepPoint> points;
+  std::vector<ExperimentSpec> points;
   for (std::size_t m = 0; m < std::size(kAllModes); ++m) {
-    MicroSweepPoint point;
-    point.config.scenario.mode = kAllModes[m];
-    point.config.scenario.seed = m + 1;
-    point.config.flows = {{0, 0}, {1, Microseconds(40)}};
-    point.config.duration = Microseconds(150);
-    points.push_back(point);
+    points.push_back(ElephantsPoint(kAllModes[m], m + 1));
   }
-  const std::vector<MicroRunResult> serial = RunMicroSweep(points, 1);
-  const std::vector<MicroRunResult> parallel = RunMicroSweep(points, 4);
+  const std::vector<ExperimentPointResult> serial =
+      RunExperimentPoints(points, 1);
+  const std::vector<ExperimentPointResult> parallel =
+      RunExperimentPoints(points, 4);
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE(std::string("mode=") + CcModeName(kAllModes[i]));
@@ -144,21 +160,17 @@ TEST(SweepEquivalenceTest, DumbbellAllSevenModesBitIdentical1v4Threads) {
 }
 
 TEST(SweepEquivalenceTest, FatTreeAllSevenModesBitIdentical1v4Threads) {
-  std::vector<FatTreeRunConfig> configs(std::size(kAllModes));
-  for (std::size_t m = 0; m < std::size(kAllModes); ++m) {
-    configs[m].scenario.mode = kAllModes[m];
-    configs[m].k = 4;
-    configs[m].num_flows = 40;
-    configs[m].cdf = SizeCdf::WebSearch();
-    configs[m].load = 0.5;
-  }
-  const std::vector<FatTreeRunResult> serial = RunFatTreeSweep(configs, 1);
-  const std::vector<FatTreeRunResult> parallel = RunFatTreeSweep(configs, 4);
+  std::vector<ExperimentSpec> points;
+  for (CcMode mode : kAllModes) points.push_back(FatTreePoint(mode, 40));
+  const std::vector<ExperimentPointResult> serial =
+      RunExperimentPoints(points, 1);
+  const std::vector<ExperimentPointResult> parallel =
+      RunExperimentPoints(points, 4);
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE(std::string("mode=") + CcModeName(kAllModes[i]));
-    const FatTreeRunResult& a = serial[i];
-    const FatTreeRunResult& b = parallel[i];
+    const ExperimentPointResult& a = serial[i];
+    const ExperimentPointResult& b = parallel[i];
     EXPECT_EQ(a.flows_completed, b.flows_completed);
     EXPECT_EQ(a.events_processed, b.events_processed);
     ASSERT_EQ(a.fct.count(), b.fct.count());
@@ -176,27 +188,21 @@ TEST(SweepEquivalenceTest, FatTreeFctRecordsBitIdenticalAcrossThreadCounts) {
   // The fig14/fig15 shape in miniature: per-mode fat-tree points whose FCT
   // records (the raw material of every slowdown stat) must not depend on
   // the thread count.
-  std::vector<FatTreeRunConfig> configs(3);
-  configs[0].scenario.mode = CcMode::kFncc;
-  configs[1].scenario.mode = CcMode::kHpcc;
-  configs[2].scenario.mode = CcMode::kDcqcn;
-  for (FatTreeRunConfig& c : configs) {
-    c.k = 4;
-    c.num_flows = 60;
-    c.cdf = SizeCdf::WebSearch();
-    c.load = 0.5;
-  }
+  const std::vector<ExperimentSpec> points = {
+      FatTreePoint(CcMode::kFncc, 60), FatTreePoint(CcMode::kHpcc, 60),
+      FatTreePoint(CcMode::kDcqcn, 60)};
 
-  const std::vector<FatTreeRunResult> serial = RunFatTreeSweep(configs, 1);
+  const std::vector<ExperimentPointResult> serial =
+      RunExperimentPoints(points, 1);
   for (int threads : {2, 8}) {
-    const std::vector<FatTreeRunResult> parallel =
-        RunFatTreeSweep(configs, threads);
+    const std::vector<ExperimentPointResult> parallel =
+        RunExperimentPoints(points, threads);
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
       SCOPED_TRACE("threads=" + std::to_string(threads) + " mode=" +
                    std::to_string(i));
-      const FatTreeRunResult& a = serial[i];
-      const FatTreeRunResult& b = parallel[i];
+      const ExperimentPointResult& a = serial[i];
+      const ExperimentPointResult& b = parallel[i];
       EXPECT_EQ(a.flows_completed, b.flows_completed);
       EXPECT_EQ(a.flows_total, b.flows_total);
       EXPECT_EQ(a.pause_frames, b.pause_frames);

@@ -1,7 +1,8 @@
 // Registry coverage: every registered topology x workload pair must build
-// a fabric and run simulated time through the unified engine without
-// assertion failures, and the engine must reproduce the legacy runners'
-// output exactly (the adapters are thin for a reason).
+// a fabric and run simulated time through the experiment engine without
+// assertion failures; a spec parsed from text must run exactly like the
+// same spec built field by field; and the run loop must keep its input
+// rules for eager and streamed points.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,9 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/dumbbell_runner.hpp"
 #include "harness/experiment_runner.hpp"
-#include "harness/fat_tree_runner.hpp"
 
 namespace fncc {
 namespace {
@@ -138,16 +137,46 @@ TEST(ExperimentRegistryTest, UnmonitoredRunsStillSizePerFlowSeries) {
   EXPECT_GT(r.wall_time_seconds, 0.0);
 }
 
-// The unified engine is the legacy runners: a spec-driven fat-tree point
-// (the fncc_run path) must reproduce RunFatTree's FCT records bit for bit.
-TEST(ExperimentRegistryTest, SpecDrivenFatTreeMatchesLegacyRunner) {
-  FatTreeRunConfig config;
-  config.k = 4;
-  config.num_flows = 40;
-  config.cdf = SizeCdf::WebSearch();
-  config.load = 0.5;
-  config.scenario.mode = CcMode::kHpcc;
-  const FatTreeRunResult legacy = RunFatTree(config);
+/// Two runs of one point: same event count, FCT records and series.
+void ExpectSameRun(const ExperimentPointResult& a,
+                   const ExperimentPointResult& b) {
+  EXPECT_EQ(a.flows_completed, b.flows_completed);
+  EXPECT_EQ(a.events_processed, b.events_processed);
+  ASSERT_EQ(a.fct.count(), b.fct.count());
+  for (std::size_t i = 0; i < a.fct.count(); ++i) {
+    const FlowResult& fa = a.fct.results()[i];
+    const FlowResult& fb = b.fct.results()[i];
+    EXPECT_EQ(fa.spec.id, fb.spec.id) << i;
+    EXPECT_EQ(fa.fct, fb.fct) << i;
+    EXPECT_EQ(fa.slowdown, fb.slowdown) << i;
+  }
+  ASSERT_EQ(a.queue_bytes.size(), b.queue_bytes.size());
+  for (std::size_t i = 0; i < a.queue_bytes.size(); ++i) {
+    EXPECT_EQ(a.queue_bytes.samples()[i].t, b.queue_bytes.samples()[i].t);
+    EXPECT_EQ(a.queue_bytes.samples()[i].value,
+              b.queue_bytes.samples()[i].value);
+  }
+  ASSERT_EQ(a.flows.size(), b.flows.size());
+  for (std::size_t f = 0; f < a.flows.size(); ++f) {
+    EXPECT_EQ(a.flows[f].pacing_gbps.size(), b.flows[f].pacing_gbps.size());
+  }
+}
+
+// One front end: a fat-tree point parsed from spec text (the fncc_run
+// path) must reproduce the same point built field by field (the bench and
+// test path) bit for bit.
+TEST(ExperimentRegistryTest, TextSpecFatTreeMatchesFieldBuiltSpec) {
+  ExperimentSpec fields;
+  fields.topology = "fat_tree";
+  fields.topo.k = 4;
+  fields.workload = "poisson";
+  fields.wl.num_flows = 40;
+  fields.wl.load = 0.5;
+  fields.cdf = "web_search";
+  fields.scenario.mode = CcMode::kHpcc;
+  fields.run.duration = 0;
+  const ExperimentPointResult built = RunExperimentPoint(fields);
+  EXPECT_EQ(built.flows_completed, 40u);
 
   const ExperimentSpec spec = ParseSpecText(R"(
 topology.kind = fat_tree
@@ -159,28 +188,19 @@ workload.num_flows = 40
 scenario.mode = HPCC
 run.duration_us = 0
 )");
-  const ExperimentPointResult generic = RunExperimentPoint(spec);
-
-  EXPECT_EQ(generic.flows_completed, legacy.flows_completed);
-  EXPECT_EQ(generic.events_processed, legacy.events_processed);
-  ASSERT_EQ(generic.fct.count(), legacy.fct.count());
-  for (std::size_t i = 0; i < legacy.fct.count(); ++i) {
-    const FlowResult& a = legacy.fct.results()[i];
-    const FlowResult& b = generic.fct.results()[i];
-    EXPECT_EQ(a.spec.id, b.spec.id) << i;
-    EXPECT_EQ(a.fct, b.fct) << i;
-    EXPECT_EQ(a.slowdown, b.slowdown) << i;
-  }
+  ExpectSameRun(built, RunExperimentPoint(spec));
 }
 
-// Same for the micro shape: a spec-driven dumbbell point must reproduce
-// RunDumbbell's sampled series exactly.
-TEST(ExperimentRegistryTest, SpecDrivenDumbbellMatchesLegacyRunner) {
-  MicroRunConfig config;
-  config.scenario.mode = CcMode::kFncc;
-  config.flows = {{0, 0, kTimeInfinity}, {1, Microseconds(40), kTimeInfinity}};
-  config.duration = Microseconds(150);
-  const MicroRunResult legacy = RunDumbbell(config);
+// Same for the micro shape: a text-parsed dumbbell point must reproduce
+// the field-built point's sampled series exactly.
+TEST(ExperimentRegistryTest, TextSpecDumbbellMatchesFieldBuiltSpec) {
+  ExperimentSpec fields;
+  fields.scenario.mode = CcMode::kFncc;
+  fields.wl.long_flows = {{0, 0, kTimeInfinity},
+                          {1, Microseconds(40), kTimeInfinity}};
+  fields.run.duration = Microseconds(150);
+  const ExperimentPointResult built = RunExperimentPoint(fields);
+  EXPECT_FALSE(built.queue_bytes.empty());
 
   const ExperimentSpec spec = ParseSpecText(R"(
 topology.kind = dumbbell
@@ -188,21 +208,54 @@ workload.kind = elephants
 workload.flows = 0@0,1@40
 run.duration_us = 150
 )");
-  const ExperimentPointResult generic = RunExperimentPoint(spec);
+  ExpectSameRun(built, RunExperimentPoint(spec));
+}
 
-  EXPECT_EQ(generic.events_processed, legacy.events_processed);
-  ASSERT_EQ(generic.queue_bytes.size(), legacy.queue_bytes.size());
-  for (std::size_t i = 0; i < legacy.queue_bytes.size(); ++i) {
-    EXPECT_EQ(generic.queue_bytes.samples()[i].t,
-              legacy.queue_bytes.samples()[i].t);
-    EXPECT_EQ(generic.queue_bytes.samples()[i].value,
-              legacy.queue_bytes.samples()[i].value);
-  }
-  ASSERT_EQ(generic.flows.size(), legacy.flows.size());
-  for (std::size_t f = 0; f < legacy.flows.size(); ++f) {
-    EXPECT_EQ(generic.flows[f].pacing_gbps.size(),
-              legacy.flows[f].pacing_gbps.size());
-  }
+// The run loop's input rules. An eager point launches its whole flow list
+// up front, so start order does not matter: flows listed out of start
+// order still run, and each gets its monitored series.
+TEST(ExperimentRegistryTest, EagerPointAcceptsUnsortedStarts) {
+  const ExperimentSpec spec = ParseSpecText(R"(
+workload.kind = elephants
+workload.flows = 0@40,1@0
+run.duration_us = 150
+)");
+  const ExperimentPointResult r = RunExperimentPoint(spec);
+  EXPECT_EQ(r.flows_total, 2u);
+  ASSERT_EQ(r.flows.size(), 2u);
+  EXPECT_FALSE(r.flows[0].pacing_gbps.empty());
+  EXPECT_FALSE(r.flows[1].pacing_gbps.empty());
+  EXPECT_GT(r.flows[0].goodput_gbps.Max(), 0.0);
+  EXPECT_GT(r.flows[1].goodput_gbps.Max(), 0.0);
+}
+
+// A streamed point launches one window ahead of the clock, so its source
+// must yield non-decreasing start times...
+TEST(ExperimentRegistryTest, StreamedPointRejectsUnsortedSource) {
+  const ExperimentSpec spec = ParseSpecText(R"(
+workload.kind = elephants
+workload.flows = 0@40,1@0
+workload.size_bytes = 20000
+run.duration_us = 0
+run.monitor = false
+run.launch_window_us = 100
+)");
+  EXPECT_THROW(RunExperimentPoint(spec), SpecError);
+}
+
+// ...and sized flows: a size-0 flow's budget comes from run.duration,
+// which a streamed point does not have. Validation refuses the spec, and
+// the trusted core refuses it too.
+TEST(ExperimentRegistryTest, StreamedPointRejectsUnsizedFlow) {
+  ExperimentSpec spec;
+  spec.wl.long_flows = {{0, 0}};
+  spec.run.duration = 0;
+  spec.run.monitor = false;
+  spec.run.launch_window = Microseconds(100);
+  EXPECT_THROW(ValidateSpec(spec), SpecError);
+  EXPECT_THROW(RunResolvedPoint(spec, ResolveTopologyParams(spec),
+                                ResolveWorkloadParams(spec)),
+               SpecError);
 }
 
 // ECMP must actually spread flows across the parallel rails of the

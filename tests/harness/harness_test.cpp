@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/cc_factory.hpp"
-#include "harness/dumbbell_runner.hpp"
+#include "harness/experiment_runner.hpp"
 #include "harness/scenario.hpp"
 
 namespace fncc {
@@ -143,12 +143,19 @@ TEST(IdealFctTest, LargeFlowAddsLineRateSerialization) {
   EXPECT_EQ(ideal, rtt + SerializationDelay(9 * 1518, 100.0));
 }
 
+/// One monitored dumbbell point (the ExperimentSpec defaults) running
+/// `flows` for `duration`.
+ExperimentSpec ElephantsSpec(std::vector<LongFlow> flows, Time duration) {
+  ExperimentSpec spec;
+  spec.wl.long_flows = std::move(flows);
+  spec.run.duration = duration;
+  return spec;
+}
+
 TEST(RunnerTest, MonitorsProduceExpectedSampleCounts) {
-  MicroRunConfig config;
-  config.flows = {{0, 0}};
-  config.duration = Microseconds(100);
-  config.queue_sample_interval = Microseconds(10);
-  const MicroRunResult r = RunDumbbell(config);
+  ExperimentSpec spec = ElephantsSpec({{0, 0}}, Microseconds(100));
+  spec.run.queue_sample_interval = Microseconds(10);
+  const ExperimentPointResult r = RunExperimentPoint(spec);
   // One sample every 10 us over 100 us (first at t=10).
   EXPECT_EQ(r.queue_bytes.size(), 10u);
   ASSERT_EQ(r.flows.size(), 1u);
@@ -157,20 +164,16 @@ TEST(RunnerTest, MonitorsProduceExpectedSampleCounts) {
 
 TEST(RunnerTest, AutoFlowBudgetOutlastsDuration) {
   // A single elephant at line rate must not run out of bytes mid-run.
-  MicroRunConfig config;
-  config.flows = {{0, 0}};
-  config.duration = Microseconds(500);
-  const MicroRunResult r = RunDumbbell(config);
+  const ExperimentPointResult r =
+      RunExperimentPoint(ElephantsSpec({{0, 0}}, Microseconds(500)));
   const double final_rate = r.flows[0].goodput_gbps.MeanOver(
       Microseconds(400), Microseconds(500));
   EXPECT_GT(final_rate, 80.0);  // still sending at the end
 }
 
 TEST(RunnerTest, StopAbortsFlowMidRun) {
-  MicroRunConfig config;
-  config.flows = {{0, 0, Microseconds(200)}};
-  config.duration = Microseconds(400);
-  const MicroRunResult r = RunDumbbell(config);
+  const ExperimentPointResult r = RunExperimentPoint(
+      ElephantsSpec({{0, 0, Microseconds(200)}}, Microseconds(400)));
   EXPECT_GT(r.flows[0].goodput_gbps.MeanOver(Microseconds(100),
                                              Microseconds(200)),
             50.0);

@@ -71,8 +71,8 @@ void PrintPointSummary(std::size_t index, const ExperimentSpec& point,
               static_cast<unsigned long long>(r.retransmits),
               static_cast<unsigned long long>(r.events_processed),
               r.wall_time_seconds);
-  // Window telemetry headline (output.pdes_stats / FNCC_PDES_STATS=1):
-  // the full picture goes to the per-point _pdes_stats.json.
+  // Window telemetry headline (output.pdes_stats): the full picture goes
+  // to the per-point _pdes_stats.json.
   if (r.pdes_stats.participants > 0) {
     std::uint64_t steals = 0;
     for (std::uint64_t s : r.pdes_stats.thread_steals) steals += s;
