@@ -347,7 +347,7 @@ void BM_LegacyHostAckPath(benchmark::State& state) {
   std::vector<FlowId> ids;
   ids.reserve(flows);
   for (int i = 0; i < flows; ++i) {
-    ids.push_back(host.AddFlow(cc, &sim, 4 * cc.mtu_bytes));
+    ids.push_back(host.AddFlow(cc, 4 * cc.mtu_bytes));
   }
 
   const std::vector<std::uint32_t> order = ShuffledOrder(ids.size());

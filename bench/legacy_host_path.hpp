@@ -1,25 +1,52 @@
 // The pre-flow-table receive path, kept as the A/B baseline for
 // BM_HostAckPath (the same role legacy_event_queue.hpp plays for the
 // scheduler benches): per-host std::unordered_map<FlowId, ...> flow lookup
-// and a virtual CcAlgorithm::OnAck behind a unique_ptr, so every ACK pays
-// two dependent pointer chases (map node -> QP -> heap CC object) plus an
-// indirect vtable branch. The replacement (transport/flow_table.hpp +
-// core/cc_inline.hpp) resolves the same ACK with one indexed load into a
-// slot whose QP and CC state are laid out inline.
+// and a virtual OnAck behind a unique_ptr (LegacyCc, a bench-local adapter
+// around the library's FnccAlgorithm), so every ACK pays two dependent
+// pointer chases (map node -> QP -> heap CC object) plus an indirect vtable
+// branch. The replacement (transport/flow_table.hpp + core/cc_inline.hpp)
+// resolves the same ACK with one indexed load into a slot whose QP and CC
+// state are laid out inline, dispatched by CcMode tag.
 //
 // Bench-only code: not part of the library, never built into fncc_core.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <utility>
 
-#include "cc/cc_algorithm.hpp"
-#include "core/cc_factory.hpp"
+#include "core/fncc.hpp"
 #include "net/packet.hpp"
 
 namespace fncc::bench {
+
+/// The pre-change CC object: one heap object whose per-event entries are
+/// virtual calls. Bench-local (the library dispatches on CcMode) and
+/// wrapping FnccAlgorithm, the only mode the bench runs. The algorithm is
+/// held inline, so an ACK still loads the vtable pointer and then the
+/// algorithm's state from the same allocation (8 bytes further in than
+/// before: the algorithm keeps its own vtable pointer).
+class LegacyCc {
+ public:
+  explicit LegacyCc(const CcConfig& config)
+      : algo_(config, config.mode == CcMode::kFncc) {
+    assert(config.mode == CcMode::kFncc || config.mode == CcMode::kFnccNoLhcs);
+  }
+  virtual ~LegacyCc() = default;
+
+  virtual void OnAck(const Packet& ack, std::uint64_t snd_nxt) {
+    algo_.OnAck(ack, snd_nxt);
+  }
+  virtual void OnCnp() {}  // FNCC ignores CNPs
+
+  [[nodiscard]] bool uses_window() const { return algo_.uses_window(); }
+  [[nodiscard]] double window_bytes() const { return algo_.window_bytes(); }
+
+ private:
+  FnccAlgorithm algo_;
+};
 
 /// The sender-side state the old Host kept per flow: a heap QP holding a
 /// heap CC algorithm dispatched virtually. HandleAck replays the
@@ -32,7 +59,7 @@ struct LegacyQp {
   std::uint64_t size_bytes = 0;
   std::uint64_t asymmetric_acks = 0;
   bool complete = false;
-  std::unique_ptr<CcAlgorithm> cc;
+  std::unique_ptr<LegacyCc> cc;
 
   void HandleAck(const Packet& ack) {
     if (complete) return;
@@ -48,7 +75,7 @@ struct LegacyQp {
     // TrySend's loop-entry checks (the flow has sent everything, so the
     // pre-change QP fell straight out here too).
     if (snd_nxt < size_bytes &&
-        !(cc->uses_window() &&  // was a virtual call before this PR
+        !(cc->uses_window() &&
           static_cast<double>(snd_nxt - snd_una) >= cc->window_bytes())) {
       // (would transmit)
     }
@@ -59,13 +86,12 @@ struct LegacyQp {
 /// switch, hash-map find, then the QP's per-ACK handling.
 class LegacyHostModel {
  public:
-  FlowId AddFlow(const CcConfig& config, Simulator* sim,
-                 std::uint64_t snd_nxt) {
+  FlowId AddFlow(const CcConfig& config, std::uint64_t snd_nxt) {
     const FlowId id = next_id_++;
     auto qp = std::make_unique<LegacyQp>();
     qp->snd_nxt = snd_nxt;
     qp->size_bytes = snd_nxt;  // all data sent, awaiting ACKs
-    qp->cc = MakeCcAlgorithm(config, sim);
+    qp->cc = std::make_unique<LegacyCc>(config);
     qps_.emplace(id, std::move(qp));
     return id;
   }

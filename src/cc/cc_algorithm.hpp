@@ -1,6 +1,8 @@
-// Congestion-control strategy interface. A sender QP owns one instance; the
-// algorithm owns the pacing rate / window it computes and the QP consults
-// them before each transmission.
+// Congestion-control state shared by every scheme. A sender QP owns one
+// algorithm; it owns the pacing rate / window it computes and the QP
+// consults them before each transmission. The per-event entries (OnAck,
+// OnCnp, OnBytesSent, Shutdown) are plain members of the concrete classes,
+// reached only through InlineCc's CcMode tag switch (core/cc_inline.hpp).
 #pragma once
 
 #include <cassert>
@@ -138,8 +140,10 @@ struct CcHotWords {
   double window_bytes = 0.0;
 };
 
-/// Base class for all schemes. Algorithms expose a pacing rate and an
-/// optional window; the QP enforces both.
+/// State base of every scheme: the pacing rate and optional window the QP
+/// enforces, the interned config and the on_update hook. It declares no
+/// per-event entry; each concrete class has plain members only for the
+/// events it reacts to, and InlineCc dispatches on CcMode to them.
 ///
 /// Layout is hot/cold split: the per-ACK path touches only the first bytes
 /// of the object (vptr, hot-word pointer, config pointer, window flag), so
@@ -154,24 +158,14 @@ class CcAlgorithm {
     words_ = &cold_->own_words;
     config_ = &cold_->owned_config;
   }
+  // The only virtual member, kept so the class stays polymorphic:
+  // SenderQp::cc() hands out a CcAlgorithm& that is dynamic_cast to
+  // FnccAlgorithm to read LHCS counters (HarvestSender in
+  // harness/experiment_runner.cpp, the incast integration test and the
+  // benchmark's traced replica, whose sources are frozen).
   virtual ~CcAlgorithm() = default;
   CcAlgorithm(const CcAlgorithm&) = delete;
   CcAlgorithm& operator=(const CcAlgorithm&) = delete;
-
-  /// Called for every (cumulative) ACK. `snd_nxt` is the sender's next new
-  /// sequence number, used by HPCC's per-RTT reference-window bookkeeping.
-  virtual void OnAck(const Packet& ack, std::uint64_t snd_nxt) = 0;
-
-  /// DCQCN congestion notification packet.
-  virtual void OnCnp() {}
-
-  /// Bytes handed to the NIC (drives DCQCN's byte counter).
-  virtual void OnBytesSent(std::uint64_t /*bytes*/) {}
-
-  /// Flow finished: cancel any self-rescheduling timers.
-  virtual void Shutdown() {}
-
-  [[nodiscard]] virtual const char* name() const = 0;
 
   /// Current pacing rate in Gbps. Always valid.
   [[nodiscard]] double rate_gbps() const { return words_->rate_gbps; }
@@ -179,8 +173,8 @@ class CcAlgorithm {
   /// In-flight byte cap; only meaningful when uses_window() is true.
   [[nodiscard]] double window_bytes() const { return words_->window_bytes; }
 
-  /// Whether the scheme enforces a window. Not virtual: consulted before
-  /// every transmission, so it is a constructor-set flag read inline.
+  /// Whether the scheme enforces a window: a constructor-set flag, read
+  /// inline before every transmission.
   [[nodiscard]] bool uses_window() const { return uses_window_; }
 
   /// Relocate the hot words into an externally owned slot (the flow

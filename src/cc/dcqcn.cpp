@@ -21,11 +21,10 @@ void DcqcnAlgorithm::Shutdown() {
   sim_->Cancel(increase_event_);
 }
 
-void DcqcnAlgorithm::OnAck(const Packet&, std::uint64_t) {
-  // DCQCN reacts to CNPs and timers only.
-}
-
 void DcqcnAlgorithm::OnCnp() {
+  // After Shutdown the timers must stay cancelled: the destructor relies on
+  // the latch and would not cancel a re-armed one.
+  if (shut_down_) return;
   // Rate decrease (RP reaction to congestion notification).
   rt_gbps_ = rate_mut();
   rate_mut() = std::max(cfg().dcqcn.min_rate_gbps,

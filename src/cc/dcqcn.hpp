@@ -13,12 +13,12 @@ namespace fncc {
 class DcqcnAlgorithm final : public CcAlgorithm {
  public:
   DcqcnAlgorithm(const CcConfig& config, Simulator* sim);
-  ~DcqcnAlgorithm() override;
+  ~DcqcnAlgorithm();
 
-  void OnAck(const Packet& ack, std::uint64_t snd_nxt) override;
-  void OnCnp() override;
-  void OnBytesSent(std::uint64_t bytes) override;
-  [[nodiscard]] const char* name() const override { return "DCQCN"; }
+  /// Congestion notification packet: rate decrease. Ignored after Shutdown.
+  void OnCnp();
+  /// Bytes handed to the NIC (drives the byte counter).
+  void OnBytesSent(std::uint64_t bytes);
 
   [[nodiscard]] double alpha() const { return alpha_; }
   [[nodiscard]] double target_rate_gbps() const { return rt_gbps_; }
@@ -26,7 +26,7 @@ class DcqcnAlgorithm final : public CcAlgorithm {
   [[nodiscard]] int byte_stage() const { return b_stage_; }
 
   /// Stops the periodic timers (flow finished).
-  void Shutdown() override;
+  void Shutdown();
 
  private:
   // TypedEvent trampolines: the periodic timers fire closure-free.

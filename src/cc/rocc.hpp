@@ -15,8 +15,7 @@ class RoccAlgorithm final : public CcAlgorithm {
     rate_mut() = cfg().line_rate_gbps;
   }
 
-  void OnAck(const Packet& ack, std::uint64_t snd_nxt) override;
-  [[nodiscard]] const char* name() const override { return "RoCC"; }
+  void OnAck(const Packet& ack, std::uint64_t snd_nxt);
 
  private:
   Simulator* sim_;

@@ -25,8 +25,7 @@ class SwiftAlgorithm final : public CcAlgorithm {
   SwiftAlgorithm(const CcConfig& config, Simulator* sim,
                  SwiftParams params = {});
 
-  void OnAck(const Packet& ack, std::uint64_t snd_nxt) override;
-  [[nodiscard]] const char* name() const override { return "Swift"; }
+  void OnAck(const Packet& ack, std::uint64_t snd_nxt);
 
   [[nodiscard]] Time target_delay() const { return target_delay_; }
   [[nodiscard]] std::uint64_t decreases() const { return decreases_; }

@@ -20,8 +20,7 @@ class TimelyAlgorithm final : public CcAlgorithm {
     if (p.t_high == 0) p.t_high = cfg().base_rtt * 5;
   }
 
-  void OnAck(const Packet& ack, std::uint64_t snd_nxt) override;
-  [[nodiscard]] const char* name() const override { return "Timely"; }
+  void OnAck(const Packet& ack, std::uint64_t snd_nxt);
 
   [[nodiscard]] double normalized_gradient() const { return gradient_; }
 

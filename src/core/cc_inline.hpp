@@ -1,20 +1,21 @@
 // InlineCc: per-flow congestion-control state laid out inline, dispatched
-// by CcMode tag instead of vtable.
+// by CcMode tag.
 //
 // The CC set is closed and known at config time (CcMode enumerates all
-// seven built-in algorithms), so the per-ACK update does not need virtual
-// dispatch: InlineCc stores the concrete algorithm in a tagged union and
-// every hot entry point (OnAck / OnCnp / OnBytesSent) is a switch over the
-// mode calling the `final` concrete method directly. Combined with the
+// seven built-in algorithms), so InlineCc stores the concrete algorithm in a
+// tagged union and every entry point (OnAck / OnCnp / OnBytesSent /
+// Shutdown) is a switch over the mode calling the concrete class's plain
+// member directly. This is the only way into an algorithm: the concrete
+// classes share a state base (CcAlgorithm) but no per-event interface, and
+// a scheme has a member only for the events it reacts to. Combined with the
 // flow table (transport/flow_table.hpp) this puts the CC state in the same
 // cache lines as the rest of the flow's slot — no unique_ptr indirection
 // between an ACK arriving and the window/rate it updates.
 //
-// The polymorphic CcAlgorithm interface survives untouched: base() exposes
-// the contained algorithm as a CcAlgorithm& (it IS one — the union members
-// all derive from it), so tests, stats and dynamic_cast probes keep
-// working. This lives in core/ (not cc/) because FNCC — the paper's
-// contribution — is among the constructed types, mirroring cc_factory.
+// base() exposes the contained algorithm's shared state (rate, window,
+// config, on_update) for cold-path consumers and dynamic_cast probes. This
+// lives in core/ (not cc/) because FNCC — the paper's contribution — is
+// among the constructed types.
 #pragma once
 
 #include <cassert>
@@ -47,62 +48,61 @@ class InlineCc {
   [[nodiscard]] bool engaged() const { return base_ != nullptr; }
   [[nodiscard]] CcMode mode() const { return mode_; }
 
-  /// The contained algorithm through the classic polymorphic interface —
-  /// cold-path consumers only (stats, tests, name(), on_update wiring).
+  /// The contained algorithm's shared state — cold-path consumers only
+  /// (stats, tests, hot-word binding, on_update wiring).
   [[nodiscard]] CcAlgorithm& base() { return *base_; }
   [[nodiscard]] const CcAlgorithm& base() const { return *base_; }
 
-  // -- Hot dispatch: mode-tagged, no virtual calls -------------------------
+  // -- Dispatch: mode-tagged, no indirect calls ----------------------------
 
-  void OnAck(const Packet& ack, std::uint64_t snd_nxt) {
-    OnAckTag(mode_, ack, snd_nxt);
-  }
-
-  /// Same dispatch, with the mode tag supplied by the caller. The batched
-  /// ACK path reads the tag from the flow's hot row (the same cache line
-  /// that holds the rate/window words), so dispatch needs no load from
-  /// this object at all.
-  void OnAckTag(CcMode mode, const Packet& ack, std::uint64_t snd_nxt) {
+  /// Per-ACK update. The mode tag is supplied by the caller: the batched
+  /// ACK path reads it from the flow's hot row (the same cache line that
+  /// holds the rate/window words), so dispatch needs no load from this
+  /// object at all.
+  void OnAck(CcMode mode, const Packet& ack, std::uint64_t snd_nxt) {
     assert(mode == mode_);
     switch (mode) {
       case CcMode::kFncc:
       case CcMode::kFnccNoLhcs:
-        u_.fncc.OnAckFast(ack, snd_nxt);
+        u_.fncc.OnAck(ack, snd_nxt);
         return;
       case CcMode::kHpcc:
-        u_.hpcc.OnAckFast(ack, snd_nxt);
+        u_.hpcc.OnAck(ack, snd_nxt);
         return;
       case CcMode::kDcqcn:
-        return;  // DCQCN reacts to CNPs and timers only (OnAck is a no-op)
+        return;  // DCQCN reacts to CNPs, sent bytes and timers only
       case CcMode::kRocc:
-        u_.rocc.RoccAlgorithm::OnAck(ack, snd_nxt);
+        u_.rocc.OnAck(ack, snd_nxt);
         return;
       case CcMode::kTimely:
-        u_.timely.TimelyAlgorithm::OnAck(ack, snd_nxt);
+        u_.timely.OnAck(ack, snd_nxt);
         return;
       case CcMode::kSwift:
-        u_.swift.SwiftAlgorithm::OnAck(ack, snd_nxt);
+        u_.swift.OnAck(ack, snd_nxt);
         return;
     }
   }
 
-  // Cold entries stay virtual on purpose: OnCnp fires at most once per
-  // cnp_interval and Shutdown once per flow, so devirtualizing them buys
-  // nothing — and a virtual call picks up any future override for free,
-  // where a hardcoded mode check would silently skip it (e.g. a scheme
-  // that grows a DCQCN-style timer to stop).
-  void OnCnp() { base_->OnCnp(); }
-  void Shutdown() { base_->Shutdown(); }
+  // DCQCN is the only scheme with CNP, sent-byte or timer state, so the
+  // remaining entries are single-case switches. A scheme that grows one of
+  // these members must add its case here.
 
-  void OnBytesSent(std::uint64_t bytes) {
-    // Hot (once per transmitted packet), so this one IS tag-dispatched:
-    // DCQCN is the only scheme metering sent bytes (its byte-counter
-    // increase stage). A future OnBytesSent override must extend this
-    // switch — the cc tests pin the overrider set.
-    if (mode_ == CcMode::kDcqcn) u_.dcqcn.DcqcnAlgorithm::OnBytesSent(bytes);
+  /// Congestion notification packet (at most once per CNP interval).
+  void OnCnp() {
+    if (mode_ == CcMode::kDcqcn) u_.dcqcn.OnCnp();
   }
 
-  // -- Hot consultation (non-virtual field reads on the base) --------------
+  /// Bytes handed to the NIC (once per transmitted packet).
+  void OnBytesSent(std::uint64_t bytes) {
+    if (mode_ == CcMode::kDcqcn) u_.dcqcn.OnBytesSent(bytes);
+  }
+
+  /// Flow finished: cancel any self-rescheduling timers.
+  void Shutdown() {
+    if (mode_ == CcMode::kDcqcn) u_.dcqcn.Shutdown();
+  }
+
+  // -- Hot consultation (plain field reads on the base) -------------------
 
   [[nodiscard]] double rate_gbps() const { return base_->rate_gbps(); }
   [[nodiscard]] double window_bytes() const { return base_->window_bytes(); }

@@ -20,17 +20,10 @@ class FnccAlgorithm final : public HpccAlgorithm {
   /// Fig. 13 (fast notification only).
   explicit FnccAlgorithm(const CcConfig& config, bool enable_lhcs = true);
 
-  void OnAck(const Packet& ack, std::uint64_t snd_nxt) override {
-    OnAckFast(ack, snd_nxt);
-  }
-  /// Devirtualized per-ACK entry: statically binds the LHCS UpdateWc hook
-  /// below (the class is final, so nothing can re-virtualize it).
-  void OnAckFast(const Packet& ack, std::uint64_t snd_nxt) {
+  /// Hides HpccAlgorithm::OnAck: statically binds the LHCS UpdateWc hook
+  /// below.
+  void OnAck(const Packet& ack, std::uint64_t snd_nxt) {
     OnAckImpl<FnccAlgorithm>(ack, snd_nxt);
-  }
-
-  [[nodiscard]] const char* name() const override {
-    return lhcs_enabled() ? "FNCC" : "FNCC-noLHCS";
   }
 
   /// Stored in the base's first-line spare flag (scheme_flag_): the only

@@ -3,9 +3,47 @@
 #include <algorithm>
 
 #include "core/ack_format.hpp"
-#include "core/cc_factory.hpp"
 
 namespace fncc {
+namespace {
+
+/// Applies the switch-side features a CC mode relies on: INT stamping of
+/// data packets (HPCC), INT stamping of ACKs (FNCC, Alg. 1), ECN marking
+/// (DCQCN), or the PI fair-rate controller (RoCC). ECN thresholds scale
+/// linearly with the given line rate from their 100 Gbps defaults.
+void ApplySwitchFeatures(CcMode mode, double line_rate_gbps,
+                         SwitchConfig& config) {
+  config.stamp_data_int = false;
+  config.stamp_ack_int = false;
+  config.ecn_enabled = false;
+  config.rocc_enabled = false;
+  switch (mode) {
+    case CcMode::kFncc:
+    case CcMode::kFnccNoLhcs:
+      config.stamp_ack_int = true;
+      break;
+    case CcMode::kHpcc:
+      config.stamp_data_int = true;
+      break;
+    case CcMode::kDcqcn: {
+      config.ecn_enabled = true;
+      // K_min/K_max default to 100/400 KB at 100 Gbps; keep the marking
+      // latency constant across line rates by scaling with capacity.
+      const double scale = line_rate_gbps / 100.0;
+      config.ecn_kmin_bytes = static_cast<std::uint64_t>(100'000 * scale);
+      config.ecn_kmax_bytes = static_cast<std::uint64_t>(400'000 * scale);
+      break;
+    }
+    case CcMode::kRocc:
+      config.rocc_enabled = true;
+      break;
+    case CcMode::kTimely:
+    case CcMode::kSwift:
+      break;  // pure end-to-end delay: no switch support needed
+  }
+}
+
+}  // namespace
 
 SwitchConfig MakeSwitchConfig(const ScenarioConfig& sc) {
   SwitchConfig config;

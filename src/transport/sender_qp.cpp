@@ -152,7 +152,7 @@ void SenderQp::HandleAckHot(HotFlowRow& row, const Packet& ack) {
     row.snd_una = std::min<std::uint64_t>(ack.seq, row.snd_nxt);
     self->ArmRto();
   }
-  self->cc_.OnAckTag(static_cast<CcMode>(row.mode), ack, row.snd_nxt);
+  self->cc_.OnAck(static_cast<CcMode>(row.mode), ack, row.snd_nxt);
   if (row.snd_una >= row.size_bytes) {
     self->Complete();
     return;

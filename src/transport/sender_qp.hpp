@@ -6,9 +6,9 @@
 // HotFlowRow (one cache line per flow — see transport/hot_flow.hpp), and
 // HandleAckHot() processes an ACK against that row, touching this object
 // only for the slow tail (RTO rearm, pacing, completion). The CC state
-// itself stays inline (InlineCc) rather than behind a unique_ptr, and the
-// per-ACK CC update dispatches on the row's CcMode tag with no virtual
-// call.
+// itself stays inline (InlineCc) rather than behind a unique_ptr, and every
+// CC entry goes through InlineCc's CcMode tag switch; the per-ACK update
+// takes the tag from the row.
 #pragma once
 
 #include <cstdint>
@@ -65,6 +65,9 @@ class SenderQp {
 
   /// Current pacing rate — the signal Fig. 9/13 plot per sender.
   [[nodiscard]] double pacing_rate_gbps() const { return cc_.rate_gbps(); }
+  /// The algorithm's shared state (rate, window, config); callers reach
+  /// scheme-specific counters by dynamic_cast (e.g. FnccAlgorithm's LHCS
+  /// triggers).
   [[nodiscard]] CcAlgorithm& cc() { return cc_.base(); }
   [[nodiscard]] const CcAlgorithm& cc() const { return cc_.base(); }
   [[nodiscard]] const HotFlowRow& hot_row() const { return *hot_; }

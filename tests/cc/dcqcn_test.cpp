@@ -142,6 +142,21 @@ TEST(DcqcnTest, ShutdownStopsTimers) {
   SUCCEED();
 }
 
+TEST(DcqcnTest, CnpAfterShutdownLeavesTimersCancelled) {
+  Simulator sim;
+  {
+    DcqcnAlgorithm cc(Config(), &sim);
+    cc.Shutdown();
+    const double rate = cc.rate_gbps();
+    cc.OnCnp();  // a late CNP must not re-arm the timers
+    EXPECT_EQ(cc.rate_gbps(), rate);
+    EXPECT_EQ(sim.events_pending(), 0u);
+  }
+  // The destructor cancels nothing once shut down, so a re-armed timer
+  // would still be queued here and later fire on the freed object.
+  EXPECT_EQ(sim.events_pending(), 0u);
+}
+
 TEST(DcqcnTest, NotifiesQpAfterTimerIncrease) {
   Simulator sim;
   DcqcnAlgorithm cc(Config(), &sim);

@@ -80,7 +80,8 @@ TEST_F(FnccLhcsTest, DisabledVariantNeverTriggers) {
   FnccAlgorithm cc(Config(), /*enable_lhcs=*/false);
   Drive(cc, 300'000, 0, 4);
   EXPECT_EQ(cc.lhcs_triggers(), 0u);
-  EXPECT_STREQ(cc.name(), "FNCC-noLHCS");
+  EXPECT_FALSE(cc.lhcs_enabled());
+  EXPECT_STREQ(CcModeName(CcMode::kFnccNoLhcs), "FNCC-noLHCS");
 }
 
 TEST_F(FnccLhcsTest, FairShareScalesInverselyWithN) {

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "core/cc_factory.hpp"
+#include "core/cc_inline.hpp"
 #include "harness/experiment_runner.hpp"
 #include "harness/scenario.hpp"
 
@@ -80,31 +80,56 @@ TEST(ScenarioConfigTest, CcKnobsForwarded) {
   EXPECT_EQ(cc.base_rtt, Microseconds(10));
 }
 
-TEST(CcFactoryTest, CreatesEveryMode) {
-  Simulator sim;
+// Pins InlineCc's tag routing: every mode constructs, and the CNP,
+// sent-byte and shutdown entries reach DCQCN (the only scheme with those
+// members) and leave every other scheme untouched.
+TEST(InlineCcTest, EmplacesAndRoutesEveryMode) {
   CcConfig config;
   config.base_rtt = Microseconds(12);
   const struct {
     CcMode mode;
     const char* name;
     bool window;
+    bool reacts_to_cnp;  // OnCnp lowers the rate
+    bool counts_bytes;   // OnBytesSent(byte_counter) advances a byte stage
   } expectations[] = {
-      {CcMode::kFncc, "FNCC", true},
-      {CcMode::kFnccNoLhcs, "FNCC-noLHCS", true},
-      {CcMode::kHpcc, "HPCC", true},
-      {CcMode::kDcqcn, "DCQCN", false},
-      {CcMode::kRocc, "RoCC", false},
-      {CcMode::kTimely, "Timely", false},
-      {CcMode::kSwift, "Swift", true},
+      {CcMode::kFncc, "FNCC", true, false, false},
+      {CcMode::kFnccNoLhcs, "FNCC-noLHCS", true, false, false},
+      {CcMode::kHpcc, "HPCC", true, false, false},
+      {CcMode::kDcqcn, "DCQCN", false, true, true},
+      {CcMode::kRocc, "RoCC", false, false, false},
+      {CcMode::kTimely, "Timely", false, false, false},
+      {CcMode::kSwift, "Swift", true, false, false},
   };
   for (const auto& e : expectations) {
+    Simulator sim;
     config.mode = e.mode;
-    auto algo = MakeCcAlgorithm(config, &sim);
-    ASSERT_NE(algo, nullptr) << e.name;
-    EXPECT_STREQ(algo->name(), e.name);
-    EXPECT_EQ(algo->uses_window(), e.window) << e.name;
-    EXPECT_STREQ(CcModeName(e.mode), e.name);
-    algo->Shutdown();
+    InlineCc cc;
+    cc.Emplace(config, &sim);
+    ASSERT_TRUE(cc.engaged()) << e.name;
+    EXPECT_EQ(cc.mode(), e.mode);
+    EXPECT_STREQ(CcModeName(cc.mode()), e.name);
+    EXPECT_EQ(cc.uses_window(), e.window) << e.name;
+
+    const double rate_before = cc.rate_gbps();
+    cc.OnCnp();
+    if (e.reacts_to_cnp) {
+      EXPECT_LT(cc.rate_gbps(), rate_before) << e.name;
+    } else {
+      EXPECT_EQ(cc.rate_gbps(), rate_before) << e.name;
+    }
+
+    const double rate_after_cnp = cc.rate_gbps();
+    cc.OnBytesSent(config.dcqcn.byte_counter);
+    if (e.counts_bytes) {
+      const auto& dcqcn = dynamic_cast<const DcqcnAlgorithm&>(cc.base());
+      EXPECT_EQ(dcqcn.byte_stage(), 1) << e.name;
+    } else {
+      EXPECT_EQ(cc.rate_gbps(), rate_after_cnp) << e.name;
+    }
+
+    cc.Shutdown();
+    EXPECT_EQ(sim.events_pending(), 0u) << e.name;
   }
 }
 
