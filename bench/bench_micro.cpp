@@ -379,7 +379,7 @@ void BM_SwitchForward(benchmark::State& state) {
   a.nic().Connect({&sw, 0}, 100.0, Nanoseconds(100));
   sw.port(1).Connect({&b, 0}, 100.0, Nanoseconds(100));
   b.nic().Connect({&sw, 1}, 100.0, Nanoseconds(100));
-  sw.routing().Resize(3);
+  sw.routing().Reset(3);
   sw.routing().SetNextHops(1, {0});
   sw.routing().SetNextHops(2, {1});
 

@@ -17,9 +17,19 @@ class WallTimer {
         .count();
   }
 
+  /// Seconds elapsed since construction or the previous Lap, whichever is
+  /// later; starts the next lap.
+  double Lap() {
+    const auto now = std::chrono::steady_clock::now();
+    const double s = std::chrono::duration<double>(now - lap_).count();
+    lap_ = now;
+    return s;
+  }
+
  private:
   std::chrono::steady_clock::time_point start_ =
       std::chrono::steady_clock::now();
+  std::chrono::steady_clock::time_point lap_ = start_;
 };
 
 }  // namespace fncc

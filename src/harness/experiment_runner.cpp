@@ -127,7 +127,7 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
                                        const TopologyParams& topo_params,
                                        const WorkloadParams& wl_params,
                                        int intra_threads, FctSink* sink) {
-  const WallTimer timer;
+  WallTimer timer;  // each Lap() below closes one phase of result.phases
   const ScenarioConfig& sc = point.scenario;
   const bool streaming = point.run.launch_window > 0;
   ExperimentPointResult result;
@@ -142,11 +142,16 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
   BuiltTopology topo =
       TopologyRegistry::Build(point.topology, &sim, MakeHostFactory(sc),
                               MakeSwitchConfig(sc), &rng, topo_params);
+  result.phases.build = timer.Lap();
+  // The fabric comes back unrouted; route it once, with this scenario's
+  // ECMP salt and symmetry.
   topo.net.ComputeRoutes(sc.ecmp_salt, sc.symmetric_ecmp);
+  result.phases.routes = timer.Lap();
   Network& net = topo.net;
   // Wiring is final: flip cross-lane ports into handoff mode and derive
   // the lookahead window from the narrowest cross-lane link.
   net.SealDomains();
+  result.phases.seal = timer.Lap();
 
   // Every point pulls its flows from the workload's FlowSource (a
   // VectorFlowSource over the eager builder unless the workload streams
@@ -355,6 +360,7 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
   DomainScheduler sched(&sim, intra_threads,
                         point.output.pdes_stats ? &result.pdes_stats
                                                 : nullptr);
+  result.phases.launch = timer.Lap();
   // One stop rule: a fixed-duration point stops at run.duration; any other
   // point stops once every flow is done, at max_sim_time, or when no
   // events are left (only aborted or stuck flows, nothing left to launch).
@@ -375,8 +381,11 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
       target = next_flow.spec.start_time;  // idle gap: jump to the next
     }
     sched.RunUntil(std::min(target, end));
+    result.phases.run += timer.Lap();
     drain();
+    result.phases.output += timer.Lap();
     launch_until(horizon());
+    result.phases.launch += timer.Lap();
   }
   drain();
   result.flows_total = launched;
@@ -408,6 +417,7 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
   // exclude it.
   result.pool_packets_created = sim.pool_total_created();
   result.pool_packets_acquired = sim.pool_acquires();
+  result.phases.output += timer.Lap();
   result.wall_time_seconds = timer.Seconds();
   return result;
 }
@@ -680,7 +690,14 @@ ExperimentArtifacts WriteExperimentOutputs(
       out << "     \"asymmetric_acks\": " << r.asymmetric_acks
           << ", \"lhcs_triggers\": " << r.lhcs_triggers
           << ", \"events_processed\": " << r.events_processed << ",\n";
-      out << "     \"wall_time_seconds\": " << r.wall_time_seconds << "}"
+      // Host telemetry, kept on one line apart from the invariant fields
+      // above: equivalence comparisons drop this line whole.
+      const PointPhases& ph = r.phases;
+      out << "     \"wall_time_seconds\": " << r.wall_time_seconds
+          << ", \"phase_seconds\": {\"build\": " << ph.build
+          << ", \"routes\": " << ph.routes << ", \"seal\": " << ph.seal
+          << ", \"launch\": " << ph.launch << ", \"run\": " << ph.run
+          << ", \"output\": " << ph.output << "}}"
           << (i + 1 < results.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";

@@ -9,7 +9,7 @@
 // Determinism: a point is a pure function of its spec. RunExperiment fans
 // expanded points over exec/SweepRunner with one Simulator + PacketPool +
 // seeded RNG per point, so results are bit-identical at every thread count
-// (wall_time_seconds excepted — host telemetry).
+// (wall_time_seconds and phases excepted — host telemetry).
 #pragma once
 
 #include <string>
@@ -29,6 +29,18 @@ class FctSink;  // stats/fct_sink.hpp
 struct FlowSeries {
   TimeSeries pacing_gbps;
   TimeSeries goodput_gbps;
+};
+
+/// Host wall-clock seconds of a point's phases, in run order (telemetry
+/// only, like wall_time_seconds). The phases tile the point, so they sum
+/// to its wall time; those the run loop revisits per chunk accumulate.
+struct PointPhases {
+  double build = 0.0;   // domain partition + topology build
+  double routes = 0.0;  // Network::ComputeRoutes
+  double seal = 0.0;    // Network::SealDomains
+  double launch = 0.0;  // flow source, launches, monitors, lane workers
+  double run = 0.0;     // event execution (RunUntil chunks)
+  double output = 0.0;  // completion drain to recorder/sink, counter harvest
 };
 
 /// Everything one executed point produces. FCT records are always
@@ -74,8 +86,10 @@ struct ExperimentPointResult {
   PdesStats pdes_stats;
 
   /// Host wall-clock seconds (telemetry only; excluded from the
-  /// determinism guarantee and equivalence comparisons).
+  /// determinism guarantee and equivalence comparisons), in total and per
+  /// phase.
   double wall_time_seconds = 0.0;
+  PointPhases phases;
 };
 
 /// Validates `point` (which must have no sweep axes left) and runs it in
@@ -153,8 +167,9 @@ std::vector<std::string> PointFctCsvPaths(
 /// Emits the artifacts spec.output asks for: per-point FCT CSV and
 /// time-series CSV (multi-point sweeps insert the point label before the
 /// extension), plus a run-manifest JSON recording the resolved spec text,
-/// thread count, per-point counters, wall times and file map. Directories
-/// are created as needed. Throws SpecError on I/O failure.
+/// thread count, per-point counters, wall times (with each point's
+/// phase_seconds) and file map. Directories are created as needed. Throws
+/// SpecError on I/O failure.
 ExperimentArtifacts WriteExperimentOutputs(
     const ExperimentSpec& spec, const std::vector<ExperimentSpec>& points,
     const std::vector<ExperimentPointResult>& results, int threads,

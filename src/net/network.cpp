@@ -133,23 +133,40 @@ void Network::ConnectAuto(NodeId a, NodeId b, double gbps,
 void Network::ComputeRoutes(std::uint32_t ecmp_salt, bool symmetric) {
   const std::size_t n = nodes_.size();
   for (Switch* sw : switches_) {
-    sw->routing().Resize(n);
+    sw->routing().Reset(n);
     sw->SetEcmp(ecmp_salt, symmetric);
+  }
+
+  // BFS roots and the destinations each one routes. A host whose only link
+  // goes to a switch is routed through that attachment switch: every host
+  // hanging off it has the same next hops at every other switch. Any other
+  // host is its own root.
+  std::vector<std::vector<NodeId>> dsts_of(n);
+  std::vector<NodeId> roots;
+  for (const Endpoint* host : hosts_) {
+    const std::vector<Adjacency>& links = adj_[host->id()];
+    const NodeId root = links.size() == 1 && node(links[0].peer)->IsSwitch()
+                            ? links[0].peer
+                            : host->id();
+    if (dsts_of[root].empty()) roots.push_back(root);
+    dsts_of[root].push_back(host->id());
   }
 
   constexpr int kUnreached = std::numeric_limits<int>::max();
   std::vector<int> dist(n);
-  for (const Endpoint* dst : hosts_) {
+  std::vector<NodeId> frontier;
+  std::vector<std::pair<NodeId, int>> hops;
+  std::vector<int> ports;
+  for (const NodeId root : roots) {
     std::fill(dist.begin(), dist.end(), kUnreached);
-    std::deque<NodeId> frontier{dst->id()};
-    dist[dst->id()] = 0;
-    while (!frontier.empty()) {
-      const NodeId cur = frontier.front();
-      frontier.pop_front();
+    frontier.assign(1, root);
+    dist[root] = 0;
+    for (std::size_t head = 0; head < frontier.size(); ++head) {
+      const NodeId cur = frontier[head];
       for (const Adjacency& e : adj_[cur]) {
-        // Hosts never forward transit traffic: only the destination itself
-        // and switches may appear as interior BFS nodes.
-        if (!node(e.peer)->IsSwitch() && e.peer != dst->id()) continue;
+        // Hosts never forward transit traffic: only a host root and
+        // switches may appear as interior BFS nodes.
+        if (!node(e.peer)->IsSwitch() && e.peer != root) continue;
         if (dist[e.peer] == kUnreached) {
           dist[e.peer] = dist[cur] + 1;
           if (node(e.peer)->IsSwitch()) frontier.push_back(e.peer);
@@ -158,20 +175,29 @@ void Network::ComputeRoutes(std::uint32_t ecmp_salt, bool symmetric) {
     }
     for (Switch* sw : switches_) {
       if (dist[sw->id()] == kUnreached) continue;
-      // Equal-cost next hops: neighbours one step closer to dst. Sorted by
-      // (peer id, port) so the selection order is consistent fabric-wide —
-      // a requirement for the symmetric-path property (Fig. 5).
-      std::vector<std::pair<NodeId, int>> hops;
+      if (sw->id() == root) {
+        // The attachment switch itself: each host on its own port.
+        for (const Adjacency& e : adj_[root]) {
+          if (!node(e.peer)->IsSwitch() && adj_[e.peer].size() == 1) {
+            sw->routing().SetNextHops(e.peer, {e.local_port});
+          }
+        }
+        continue;
+      }
+      // Equal-cost next hops: neighbours one step closer to the root.
+      // Sorted by (peer id, port) so the selection order is consistent
+      // fabric-wide — a requirement for the symmetric-path property
+      // (Fig. 5).
+      hops.clear();
       for (const Adjacency& e : adj_[sw->id()]) {
         if (dist[e.peer] == dist[sw->id()] - 1) {
           hops.emplace_back(e.peer, e.local_port);
         }
       }
       std::sort(hops.begin(), hops.end());
-      std::vector<int> ports;
-      ports.reserve(hops.size());
+      ports.clear();
       for (const auto& [peer, port] : hops) ports.push_back(port);
-      if (!ports.empty()) sw->routing().SetNextHops(dst->id(), ports);
+      if (!ports.empty()) sw->routing().SetNextHops(dsts_of[root], ports);
     }
   }
 }
@@ -182,7 +208,7 @@ void Network::ComputeSpanningTreeRoutes(int num_trees, std::uint32_t salt) {
   const std::size_t n = nodes_.size();
   for (Switch* sw : switches_) {
     sw->ConfigureSpanningTrees(num_trees, salt);
-    for (int t = 0; t < num_trees; ++t) sw->tree_routing(t).Resize(n);
+    for (int t = 0; t < num_trees; ++t) sw->tree_routing(t).Reset(n);
   }
 
   constexpr int kUnreached = std::numeric_limits<int>::max();

@@ -90,8 +90,19 @@ class Network {
   /// Connects with automatic port allocation on both sides.
   void ConnectAuto(NodeId a, NodeId b, double gbps, Time propagation_delay);
 
-  /// Builds destination-based equal-cost routing tables on every switch
-  /// (BFS per host) and configures every switch's ECMP hash.
+  /// Builds destination-based equal-cost routing tables on every switch and
+  /// configures every switch's ECMP hash. Each pass first resets every
+  /// table, so calling it again (say with another salt) replaces the routes.
+  ///
+  /// One BFS per attachment switch, not per host: a host whose only link
+  /// goes to a switch (every host of the registered topologies) shares
+  /// that switch's BFS with every other host hanging off it — they all have
+  /// the same next hops at every other switch, and the attachment switch
+  /// routes each of them to its own port. Any other host falls back to a
+  /// BFS of its own. Either way the next-hop sets are the equal-cost
+  /// neighbours sorted by (peer id, port), as symmetric ECMP needs, and
+  /// each distinct set is interned once per switch, so the pass costs one
+  /// BFS per root plus one table write per (switch, host).
   void ComputeRoutes(std::uint32_t ecmp_salt = 0, bool symmetric = true);
 
   /// Observation 2 method 2 (TCP-Bolt style): builds `num_trees` spanning

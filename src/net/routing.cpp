@@ -36,21 +36,29 @@ std::uint32_t EcmpHash(NodeId src, NodeId dst, std::uint16_t sport,
   return static_cast<std::uint32_t>(Mix64(key ^ salt));
 }
 
-void RoutingTable::SetNextHops(NodeId dst, const std::vector<int>& ports) {
-  Route& r = routes_.at(dst);
-  if (ports.empty()) {
-    r = Route{};
-    return;
-  }
+void RoutingTable::Reset(std::size_t num_nodes) {
+  routes_.assign(num_nodes, Route{});
+  pool_.clear();
+}
+
+void RoutingTable::SetNextHops(std::span<const NodeId> dsts,
+                               const std::vector<int>& ports) {
+  Route r;
   if (ports.size() == 1) {
-    r.base = static_cast<std::uint32_t>(ports[0]);
-    r.count = 1;
-    return;
+    r = {static_cast<std::uint32_t>(ports[0]), 1};
+  } else if (!ports.empty()) {
+    // Intern: any run of the pool equal to `ports` is a valid span (Select
+    // reads only [base, base + count)). The pool holds a handful of sets,
+    // so the search is short.
+    auto it = std::search(pool_.begin(), pool_.end(), ports.begin(),
+                          ports.end());
+    if (it == pool_.end()) {
+      it = pool_.insert(pool_.end(), ports.begin(), ports.end());
+    }
+    r = {static_cast<std::uint32_t>(it - pool_.begin()),
+         static_cast<std::uint32_t>(ports.size())};
   }
-  r.base = static_cast<std::uint32_t>(pool_.size());
-  r.count = static_cast<std::uint32_t>(ports.size());
-  pool_.reserve(pool_.size() + ports.size());
-  for (const int p : ports) pool_.push_back(static_cast<std::uint16_t>(p));
+  for (const NodeId dst : dsts) routes_.at(dst) = r;
 }
 
 int RoutingTable::Select(const Packet& pkt, std::uint32_t salt,

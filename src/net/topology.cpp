@@ -63,7 +63,6 @@ DumbbellTopology BuildDumbbell(Simulator* sim, const HostFactory& hosts,
                   link.propagation_delay);
   if (num_switches == 1) topo.congestion_port_ = num_senders;
 
-  net.ComputeRoutes();
   return topo;
 }
 
@@ -108,7 +107,6 @@ ChainMergeTopology BuildChainMerge(Simulator* sim, const HostFactory& hosts,
   net.ConnectAuto(topo.switches.back(), topo.receiver, link.gbps,
                   link.propagation_delay);
 
-  net.ComputeRoutes();
   return topo;
 }
 
@@ -184,7 +182,6 @@ FatTreeTopology BuildFatTree(Simulator* sim, const HostFactory& hosts,
     }
   }
 
-  net.ComputeRoutes();
   return topo;
 }
 
@@ -241,7 +238,6 @@ LeafSpineTopology BuildLeafSpine(Simulator* sim, const HostFactory& hosts,
     }
   }
 
-  net.ComputeRoutes();
   return topo;
 }
 
@@ -278,7 +274,6 @@ MultiRailDumbbellTopology BuildMultiRailDumbbell(
   net.ConnectAuto(topo.switch_b, topo.receiver, link.gbps,
                   link.propagation_delay);
 
-  net.ComputeRoutes();
   return topo;
 }
 

@@ -4,6 +4,11 @@
 // declaratively ("topology.kind = leaf_spine"). New topologies register a
 // builder; everything above (workloads, the experiment runner, fncc_run)
 // picks them up with no further wiring.
+//
+// Builders return wired but unrouted fabrics. Routing needs the scenario's
+// ECMP salt and symmetry, which only the caller knows, so the caller routes
+// each fabric exactly once (Network::ComputeRoutes or
+// ComputeSpanningTreeRoutes) before the first packet.
 #pragma once
 
 #include <cstdint>
@@ -213,8 +218,9 @@ class TopologyRegistry {
   [[nodiscard]] static bool Contains(const std::string& name);
 
   /// Builds `name` (throws std::invalid_argument for an unknown name or bad
-  /// params). The returned fabric has routes computed with default ECMP
-  /// settings; callers re-run ComputeRoutes for scenario-specific salt.
+  /// params). The returned fabric is wired but unrouted: the caller, which
+  /// knows the scenario's ECMP salt and symmetry, routes it once with
+  /// Network::ComputeRoutes (or ComputeSpanningTreeRoutes).
   static BuiltTopology Build(const std::string& name, Simulator* sim,
                              const HostFactory& hosts,
                              const SwitchConfig& sw_config, Rng* rng,

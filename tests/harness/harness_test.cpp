@@ -139,6 +139,7 @@ TEST(IdealFctTest, SinglePacketFlowIsBaseRtt) {
   Rng rng(1);
   auto topo = BuildDumbbell(&sim, MakeHostFactory(sc), MakeSwitchConfig(sc),
                             &rng, 2, 3, sc.link());
+  topo.net.ComputeRoutes(sc.ecmp_salt, sc.symmetric_ecmp);
   FlowSpec spec;
   spec.src = topo.senders[0];
   spec.dst = topo.receiver;
@@ -156,6 +157,7 @@ TEST(IdealFctTest, LargeFlowAddsLineRateSerialization) {
   Rng rng(1);
   auto topo = BuildDumbbell(&sim, MakeHostFactory(sc), MakeSwitchConfig(sc),
                             &rng, 2, 3, sc.link());
+  topo.net.ComputeRoutes(sc.ecmp_salt, sc.symmetric_ecmp);
   FlowSpec spec;
   spec.src = topo.senders[0];
   spec.dst = topo.receiver;

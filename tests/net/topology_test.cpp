@@ -30,6 +30,7 @@ TEST(DumbbellTest, DataPathCrossesAllSwitches) {
   Rng rng(1);
   auto topo =
       BuildDumbbell(&sim, SinkFactory(), SwitchConfig{}, &rng, 2, 3, {});
+  topo.net.ComputeRoutes();
   const auto path =
       topo.net.Path(topo.senders[0], topo.receiver, 1000, 2000);
   // sender, sw0, sw1, sw2, receiver.
@@ -55,6 +56,7 @@ TEST(DumbbellTest, BaseRttMatchesHandComputation) {
   Rng rng(1);
   auto topo =
       BuildDumbbell(&sim, SinkFactory(), SwitchConfig{}, &rng, 2, 3, {});
+  topo.net.ComputeRoutes();
   // Data: 4 links x (1.5 us + 121.44 ns); ACK: 4 links x (1.5 us + 4.8 ns).
   const Time expected = 4 * (1'500'000 + 121'440) + 4 * (1'500'000 + 4'800);
   EXPECT_EQ(topo.net.BaseRtt(topo.senders[0], topo.receiver, 1, 2, 1518, 60),
@@ -66,6 +68,7 @@ TEST(ChainMergeTest, MergeAtLastHopCongestsReceiverLink) {
   Rng rng(1);
   auto topo = BuildChainMerge(&sim, SinkFactory(), SwitchConfig{}, &rng,
                               /*num_switches=*/3, /*merge=*/2, {});
+  topo.net.ComputeRoutes();
   const auto& peer =
       topo.congestion_switch()->port(topo.congestion_port()).peer();
   EXPECT_EQ(peer.node->id(), topo.receiver);
@@ -105,6 +108,7 @@ TEST_P(FatTreeTest, AllPairsReachable) {
   Simulator sim;
   Rng rng(1);
   auto topo = BuildFatTree(&sim, SinkFactory(), SwitchConfig{}, &rng, k, {});
+  topo.net.ComputeRoutes();
   Rng pick(99);
   for (int trial = 0; trial < 30; ++trial) {
     const auto s = static_cast<std::size_t>(
@@ -209,6 +213,7 @@ TEST(FatTreeTest8, InterPodRttLargerThanIntraRack) {
   Simulator sim;
   Rng rng(1);
   auto topo = BuildFatTree(&sim, SinkFactory(), SwitchConfig{}, &rng, 4, {});
+  topo.net.ComputeRoutes();
   // hosts 0 and 1 share an edge switch; hosts 0 and 12 are in other pods.
   const Time near = topo.net.BaseRtt(topo.hosts[0], topo.hosts[1], 1, 2);
   const Time far = topo.net.BaseRtt(topo.hosts[0], topo.hosts[12], 1, 2);

@@ -65,12 +65,16 @@ void PrintPointSummary(std::size_t index, const ExperimentSpec& point,
   if (!r.queue_bytes.empty()) {
     std::printf(", peakQ %.1f KB", r.queue_bytes.Max() / 1e3);
   }
-  std::printf(", pauses %llu, drops %llu, rtx %llu, events %llu (%.2fs)\n",
-              static_cast<unsigned long long>(r.pause_frames),
-              static_cast<unsigned long long>(r.drops),
-              static_cast<unsigned long long>(r.retransmits),
-              static_cast<unsigned long long>(r.events_processed),
-              r.wall_time_seconds);
+  const PointPhases& ph = r.phases;
+  std::printf(
+      ", pauses %llu, drops %llu, rtx %llu, events %llu (%.2fs: build %.3f, "
+      "routes %.3f, seal %.3f, launch %.3f, run %.3f, output %.3f)\n",
+      static_cast<unsigned long long>(r.pause_frames),
+      static_cast<unsigned long long>(r.drops),
+      static_cast<unsigned long long>(r.retransmits),
+      static_cast<unsigned long long>(r.events_processed),
+      r.wall_time_seconds, ph.build, ph.routes, ph.seal, ph.launch, ph.run,
+      ph.output);
   // Window telemetry headline (output.pdes_stats): the full picture goes
   // to the per-point _pdes_stats.json.
   if (r.pdes_stats.participants > 0) {
