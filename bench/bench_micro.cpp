@@ -152,9 +152,10 @@ BENCHMARK(BM_PacketPoolAcquireRelease);
 
 void BM_MakeUniquePacket(benchmark::State& state) {
   // The pre-refactor allocation path: one make_unique + free per packet.
+  std::uint64_t uid = 0;
   for (auto _ : state) {
     auto p = std::make_unique<Packet>();
-    p->uid = NextPacketUid();
+    p->uid = ++uid;
     p->size_bytes = kDefaultMtuBytes;
     benchmark::DoNotOptimize(p.get());
   }
@@ -182,6 +183,37 @@ void BM_PacketPoolPipelineDepth(benchmark::State& state) {
       static_cast<double>(pool.total_created() - created_warm);
 }
 BENCHMARK(BM_PacketPoolPipelineDepth)->Arg(16)->Arg(256);
+
+void BM_PacketPoolPipelineDepthInt(benchmark::State& state) {
+  // BM_PacketPoolPipelineDepth with every packet shaped like an FNCC ACK:
+  // three INT hops stamped on entry, so each cycle also takes an INT block
+  // from the pool and hands it back. Neither packets nor blocks may be
+  // heap-allocated once the window is warm.
+  const std::size_t depth = static_cast<std::size_t>(state.range(0));
+  PacketPool pool;
+  auto stamped = [&pool] {
+    PacketPtr p = pool.Acquire();
+    for (int h = 0; h < 3; ++h) {
+      p->int_stack.push_back(IntEntry{100.0, h, 12'500, 40'000});
+    }
+    return p;
+  };
+  std::vector<PacketPtr> window;
+  window.reserve(depth);
+  for (std::size_t i = 0; i < depth; ++i) window.push_back(stamped());
+  std::size_t head = 0;
+  const std::size_t created_warm =
+      pool.total_created() + pool.int_blocks_created();
+  for (auto _ : state) {
+    window[head].reset();
+    window[head] = stamped();
+    head = (head + 1) % depth;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["steady_heap_allocs"] = static_cast<double>(
+      pool.total_created() + pool.int_blocks_created() - created_warm);
+}
+BENCHMARK(BM_PacketPoolPipelineDepthInt)->Arg(16)->Arg(256);
 
 void BM_EcmpHash(benchmark::State& state) {
   std::uint32_t acc = 0;

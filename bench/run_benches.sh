@@ -145,6 +145,11 @@ if pool:
           f"  steady_heap_allocs={pool.get('steady_heap_allocs', '?')}")
 if heap:
     print(f"  make_unique baseline   {heap/1e6:8.1f}M pkts/s")
+for arg in (16, 256):
+    stamped = by_name.get(f"BM_PacketPoolPipelineDepthInt/{arg}")
+    if stamped:
+        print(f"  INT-stamped depth={arg:<4} {stamped['items_per_second']/1e6:6.1f}M pkts/s"
+              f"  steady_heap_allocs={stamped.get('steady_heap_allocs', '?')}")
 
 print("== receive path: flow table + devirtualized dispatch vs map+virtual ==")
 for arg in (64, 1024, 8192, 65536):

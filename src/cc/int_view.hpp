@@ -5,6 +5,7 @@
 // the sender, hop n-1 enters the receiver ("last hop" for LHCS).
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 
 #include "net/packet.hpp"
@@ -14,20 +15,25 @@ namespace fncc {
 class IntView {
  public:
   explicit IntView(const Packet& ack)
-      : stack_(ack.int_stack), reversed_(ack.int_reversed) {}
+      : entries_(ack.int_stack.begin()),
+        hops_(ack.int_stack.size()),
+        reversed_(ack.int_reversed) {}
 
-  [[nodiscard]] std::size_t hops() const { return stack_.size(); }
-  [[nodiscard]] bool empty() const { return stack_.empty(); }
+  [[nodiscard]] std::size_t hops() const { return hops_; }
+  [[nodiscard]] bool empty() const { return hops_ == 0; }
 
   /// Telemetry of request-path hop `i` (0 = first hop from the sender).
   [[nodiscard]] const IntEntry& hop(std::size_t i) const {
-    return reversed_ ? stack_[stack_.size() - 1 - i] : stack_[i];
+    assert(i < hops_);
+    return entries_[reversed_ ? hops_ - 1 - i : i];
   }
 
-  [[nodiscard]] std::size_t last_hop_index() const { return hops() - 1; }
+  [[nodiscard]] std::size_t last_hop_index() const { return hops_ - 1; }
 
  private:
-  const StaticVector<IntEntry, kMaxIntHops>& stack_;
+  // The ACK's out-of-line INT block, read in place.
+  const IntEntry* entries_;
+  std::size_t hops_;
   bool reversed_;
 };
 

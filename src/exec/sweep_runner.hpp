@@ -6,8 +6,9 @@
 // point i's config. Under that contract the output is bit-identical to the
 // serial (num_threads = 1) run for every thread count: threads only decide
 // *when* a job runs, never what it computes. The only process-global state
-// jobs share is the atomic packet-uid counter (tracing-only, never feeds
-// back into simulation behavior) and the atomic log level.
+// jobs share is the atomic packet-pool tag counter (drawn once per pool at
+// construction; uids are tracing-only and never feed back into simulation
+// behavior) and the atomic log level.
 //
 // Exceptions: if any fn(i) throws, every other job still runs to
 // completion (side effects do not depend on the thread count either) and

@@ -211,10 +211,17 @@ void EgressPort::FinishTransmit() {
     // sealed at this window's end barrier, injected by the destination
     // lane during the next window — and return the original to this lane's
     // arena. No event is scheduled here; the destination lane schedules
-    // (and counts) the delivery.
+    // (and counts) the delivery. The live INT entries go to the side array
+    // and the stack is emptied before the header copy, so the copy never
+    // takes a block.
     const int phase = sim_->outbox_phase();
     const Time t = sim_->Now() + prop_delay_;
-    outbox_[phase].push_back(Handoff{t, order, *raw});
+    std::vector<IntEntry>& ints = outbox_int_[phase];
+    const auto int_off = static_cast<std::uint32_t>(ints.size());
+    const auto int_count = static_cast<std::uint32_t>(raw->int_stack.size());
+    ints.insert(ints.end(), raw->int_stack.begin(), raw->int_stack.end());
+    raw->int_stack.clear();
+    outbox_[phase].push_back(Handoff{t, order, int_off, int_count, *raw});
     if (t < outbox_min_[phase]) outbox_min_[phase] = t;
     WrapRawPacket(raw);
   } else if (lookahead_ > 0) {
@@ -271,16 +278,19 @@ void EgressPort::DrainHandoffs() {
   const int sealed = sim_->outbox_phase() ^ 1;
   std::vector<Handoff>& box = outbox_[sealed];
   if (box.empty()) return;
+  const IntEntry* ints = outbox_int_[sealed].data();
   for (const Handoff& h : box) {
-    // Re-materialize in the destination lane's arena (the active lane
-    // here): acquire, copy every field, then restore the handle plumbing
-    // the struct copy clobbered — the acquiring pool's reclaimer and the
-    // chain link.
+    // Re-materialize in the destination lane's pool (the active lane
+    // here): acquire, copy the header, restore the handle plumbing the
+    // struct copy clobbered — the acquiring pool's reclaimer and the chain
+    // link — then refill the INT stack, which takes a block from this
+    // lane's pool when there are entries.
     Packet* raw = ReleaseToRaw(sim_->packet_pool().Acquire());
     PacketPool* pool = raw->pool;
     *raw = h.pkt;
     raw->pool = pool;
     raw->next = nullptr;
+    raw->int_stack.assign(ints + h.int_off, ints + h.int_off + h.int_count);
     sim_->ScheduleAtOrdered(
         h.t, h.order,
         TypedEvent{.run = deliver_,
@@ -290,6 +300,7 @@ void EgressPort::DrainHandoffs() {
                    .arg = static_cast<std::uint64_t>(peer_.port)});
   }
   box.clear();  // keeps capacity; the outbox stays allocation-warm
+  outbox_int_[sealed].clear();
   outbox_min_[sealed] = kTimeInfinity;
 }
 

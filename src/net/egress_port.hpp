@@ -221,21 +221,28 @@ class EgressPort {
   std::uint64_t order_count_ = 0;  // per-edge FIFO counter
 
   /// One buffered cross-lane delivery. The packet rides by value: the
-  /// source lane returns its original to its own arena immediately and the
-  /// destination lane re-materializes the copy from its arena at the
-  /// barrier, so neither arena is ever touched from a foreign lane.
+  /// source lane returns its original (and its INT block) to its own pool
+  /// immediately and the destination lane re-materializes the copy from its
+  /// pool at the barrier, so neither pool is ever touched from a foreign
+  /// lane. Only the header rides in `pkt` (its INT stack is always empty);
+  /// the live INT entries ride in the outbox_int_ side array at
+  /// [int_off, int_off + int_count).
   struct Handoff {
     Time t;               // delivery (arrival) time
     std::uint64_t order;  // this edge's order word for the packet
+    std::uint32_t int_off;
+    std::uint32_t int_count;
     Packet pkt;
   };
   /// Double-buffered by the simulator's window phase: sends of window w
-  /// append to outbox_[phase] while the destination lane drains the sealed
-  /// outbox_[phase ^ 1] (window w-1's sends) — run and drain share one
-  /// window with no barrier between them. outbox_min_ tracks each buffer's
-  /// earliest delivery time so Simulator::NextEventTime can bound the next
-  /// window by handoffs not yet in any queue.
+  /// append to outbox_[phase] (and its INT entries to outbox_int_[phase])
+  /// while the destination lane drains the sealed outbox_[phase ^ 1]
+  /// (window w-1's sends) — run and drain share one window with no barrier
+  /// between them. outbox_min_ tracks each buffer's earliest delivery time
+  /// so Simulator::NextEventTime can bound the next window by handoffs not
+  /// yet in any queue.
   std::vector<Handoff> outbox_[2];
+  std::vector<IntEntry> outbox_int_[2];
   Time outbox_min_[2] = {kTimeInfinity, kTimeInfinity};
   bool cross_lane_ = false;
   int peer_lane_ = 0;

@@ -1,6 +1,5 @@
 #include "net/packet.hpp"
 
-#include <atomic>
 #include <cassert>
 
 #include "net/packet_pool.hpp"
@@ -8,12 +7,8 @@
 
 namespace fncc {
 
-namespace {
-std::atomic<std::uint64_t> g_next_uid{1};
-}
-
-std::uint64_t NextPacketUid() {
-  return g_next_uid.fetch_add(1, std::memory_order_relaxed);
+void IntStack::AttachBlock() {
+  block_ = owner_ != nullptr ? owner_->AcquireIntBlock() : new IntBlock;
 }
 
 void PacketReclaimer::operator()(Packet* p) const noexcept {

@@ -1,11 +1,19 @@
 // Packet model. One struct covers data, ACK, CNP (DCQCN) and PFC control
 // frames; the INT stack follows the FNCC ACK format of Fig. 7 in the paper.
+//
+// A Packet is a small header (<= 128 bytes, static_asserted below): queues,
+// events and cross-lane handoffs move or copy only that. The INT stack's
+// entries live out of line in an IntBlock that the owning PacketPool hands
+// out on the first INT push and takes back when it reclaims the packet —
+// FNCC stamps INT only on ACKs, so the data packets that fill switch
+// queues never carry a block.
 #pragma once
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
-#include "sim/static_vector.hpp"
 #include "sim/time.hpp"
 
 namespace fncc {
@@ -53,8 +61,82 @@ struct IntEntry {
 
 class PacketPool;
 
+/// Out-of-line storage for one packet's INT stack, at full capacity.
+struct IntBlock {
+  IntEntry entries[kMaxIntHops];
+};
+
+/// A packet's INT stack: at most kMaxIntHops entries, kept out of line so
+/// the packet header stays small. Only ACKs (FNCC) or data packets (HPCC)
+/// ever carry INT, so most packets never attach a block at all.
+///
+/// Storage rule: the first push_back() attaches an IntBlock. A pooled
+/// packet takes it from its owning PacketPool (owner_, fixed when the pool
+/// creates the packet), which takes it back when the packet is reclaimed,
+/// so blocks stay in the lane that owns the pool. A packet outside any pool
+/// (tests, benches) owns a heap block and frees it on destruction.
+///
+/// Copying copies the entries, never the block or the owner: the target
+/// keeps its own storage, attaching a block only when there are entries.
+class IntStack {
+ public:
+  IntStack() = default;
+  IntStack(const IntStack& other) { assign(other.begin(), other.end()); }
+  IntStack& operator=(const IntStack& other) {
+    if (this != &other) assign(other.begin(), other.end());
+    return *this;
+  }
+  ~IntStack() {
+    if (owner_ == nullptr) delete block_;  // pooled blocks die with the pool
+  }
+
+  void push_back(const IntEntry& e) {
+    assert(size_ < kMaxIntHops && "INT stack overflow");
+    if (block_ == nullptr) AttachBlock();
+    block_->entries[size_++] = e;
+  }
+
+  /// Replaces the contents with [first, last).
+  void assign(const IntEntry* first, const IntEntry* last) {
+    const auto n = static_cast<std::size_t>(last - first);
+    assert(n <= kMaxIntHops && "INT stack overflow");
+    if (n != 0 && block_ == nullptr) AttachBlock();
+    for (std::size_t i = 0; i < n; ++i) block_->entries[i] = first[i];
+    size_ = static_cast<std::uint8_t>(n);
+  }
+
+  /// Empties the stack; an attached block stays attached.
+  void clear() { size_ = 0; }
+
+  const IntEntry& operator[](std::size_t i) const {
+    assert(i < size_);
+    return block_->entries[i];
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] bool full() const { return size_ == kMaxIntHops; }
+  /// Whether a block is attached (false on every freshly acquired packet).
+  [[nodiscard]] bool has_block() const { return block_ != nullptr; }
+
+  const IntEntry* begin() const {
+    return block_ != nullptr ? block_->entries : nullptr;
+  }
+  const IntEntry* end() const { return begin() + size_; }
+
+ private:
+  friend class PacketPool;
+
+  /// Takes a block from owner_, or from the heap without one (packet.cpp).
+  void AttachBlock();
+
+  IntBlock* block_ = nullptr;
+  PacketPool* owner_ = nullptr;
+  std::uint8_t size_ = 0;
+};
+
 struct Packet {
-  std::uint64_t uid = 0;  // unique per simulation, for tracing
+  std::uint64_t uid = 0;  // pool tag + per-pool counter, for tracing
   FlowId flow = 0;
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;
@@ -83,7 +165,7 @@ struct Packet {
   /// into the ACK by the receiver (L[0] = first hop from the sender).
   /// FNCC: stamped on the ACK along the return path (Alg. 1), so entries
   /// appear last-request-hop first; int_reversed marks that ordering.
-  StaticVector<IntEntry, kMaxIntHops> int_stack;
+  IntStack int_stack;
   bool int_reversed = false;
 
   Time t_sent = 0;  // sender timestamp of the data packet, echoed in ACKs
@@ -116,11 +198,11 @@ struct Packet {
     return type == PacketType::kPfcPause || type == PacketType::kPfcResume;
   }
 
-  /// Restores every field to its default without touching the INT stack's
-  /// backing storage (clear() only resets its size) — the cheap reset the
-  /// PacketPool hot path relies on. When adding a field to Packet, reset it
-  /// here; tests/net/packet_pool_test.cpp checks recycled packets are
-  /// indistinguishable from fresh ones.
+  /// Restores every field to its default. The INT stack is only emptied:
+  /// a block stays attached (PacketPool detaches blocks when it reclaims a
+  /// packet, so a pooled packet comes back with none). When adding a field
+  /// to Packet, reset it here; tests/net/packet_pool_test.cpp checks
+  /// recycled packets are indistinguishable from fresh ones.
   void Reset() {
     uid = 0;
     flow = 0;
@@ -146,6 +228,9 @@ struct Packet {
     pool = nullptr;
   }
 };
+
+// The header, not the INT stack, is what queues hold and handoffs copy.
+static_assert(sizeof(Packet) <= 128, "Packet header outgrew 128 bytes");
 
 /// Deleter for pooled packets: hands the packet back to its owning pool's
 /// free list instead of freeing it. A default-constructed reclaimer (null
@@ -174,10 +259,6 @@ inline Packet* ReleaseToRaw(PacketPtr p) {
 inline PacketPtr WrapRawPacket(Packet* raw) {
   return PacketPtr(raw, PacketReclaimer{raw->pool});
 }
-
-/// Next value of the process-wide packet uid counter. Shared by every pool
-/// so uids stay unique per simulation even with multiple pools alive.
-std::uint64_t NextPacketUid();
 
 /// Allocates a packet with a fresh uid from the implicit pool: the sole
 /// live Simulator's pool on this thread when there is one (so the packet

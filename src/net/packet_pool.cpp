@@ -1,8 +1,26 @@
 #include "net/packet_pool.hpp"
 
+#include <atomic>
 #include <cassert>
 
 namespace fncc {
+
+namespace {
+
+// Uid layout: a pool's tag in the high bits, its own acquire counter in the
+// low bits. 2^44 acquires per pool is far beyond any run; tags wrap after
+// 2^20 pools, which only matters if that many pools are alive at once.
+constexpr int kUidCounterBits = 44;
+
+// Drawn once per pool, at construction — never on the per-packet path.
+std::atomic<std::uint64_t> g_next_pool_tag{0};
+
+}  // namespace
+
+PacketPool::PacketPool()
+    : next_uid_((g_next_pool_tag.fetch_add(1, std::memory_order_relaxed)
+                 << kUidCounterBits) |
+                1) {}
 
 PacketPool::~PacketPool() {
   // Every loaned packet must have been returned: a PacketPtr destroyed after
@@ -17,12 +35,13 @@ PacketPtr PacketPool::Acquire() {
   if (free_.empty()) {
     arena_.push_back(std::make_unique<Packet>());
     p = arena_.back().get();
+    p->int_stack.owner_ = this;  // INT blocks come from (and return to) us
   } else {
     p = free_.back();
     free_.pop_back();
-    p->Reset();  // INT stack, marks, path ids — everything back to defaults
+    p->Reset();  // marks, path ids — everything back to defaults
   }
-  p->uid = NextPacketUid();
+  p->uid = next_uid_++;
   ++acquires_;
   return PacketPtr(p, PacketReclaimer{this});
 }
@@ -30,13 +49,23 @@ PacketPtr PacketPool::Acquire() {
 PacketPtr PacketPool::Clone(const Packet& src) {
   PacketPtr p = Acquire();
   const std::uint64_t uid = p->uid;
-  *p = src;
+  *p = src;  // INT entries land in a block of this pool
   p->uid = uid;
   // Transport-plumbing fields describe the source's queue position and
   // owner, not the clone's; the hand-off helpers refresh them as needed.
   p->next = nullptr;
   p->pool = nullptr;
   return p;
+}
+
+IntBlock* PacketPool::AcquireIntBlock() {
+  if (int_free_.empty()) {
+    int_arena_.push_back(std::make_unique<IntBlock>());
+    return int_arena_.back().get();
+  }
+  IntBlock* b = int_free_.back();
+  int_free_.pop_back();
+  return b;
 }
 
 PacketPool& DefaultPacketPool() {

@@ -2,30 +2,41 @@
 // allocations.
 //
 // Ownership contract:
-//   - The pool owns the storage of every packet it ever created (arena_).
-//     A PacketPtr is a loan; its destructor pushes the packet back onto the
-//     free list via PacketReclaimer.
+//   - The pool owns the storage of every packet it ever created (arena_)
+//     and of every INT block it ever handed out (int_arena_). A PacketPtr
+//     is a loan; its destructor pushes the packet back onto the free list
+//     via PacketReclaimer, and the pool takes back the packet's INT block
+//     (if it attached one) onto the block free list at the same time.
 //   - The pool must therefore outlive every PacketPtr it issued. Simulator
-//     owns one pool and destroys it after its event queue (whose callbacks
-//     are the last in-flight packet holders), so model code holding packets
-//     inside scheduled events is always safe.
-//   - Pool-ownership rule (parallel sweeps): a pool, and every packet it
-//     issued, belong to exactly one thread at a time — PacketPool is not
-//     internally synchronized. Each sweep job owns a full Simulator +
-//     PacketPool + RNG built and torn down inside the job, so pools are
-//     never shared across threads. MakePacket()/ClonePacket() follow the
-//     rule automatically: they allocate from the sole live Simulator's
-//     pool on the calling thread, and only fall back to the thread-local
-//     default pool (an escape hatch for single-threaded tests and tools,
-//     alive until thread exit) when no Simulator is alive; several live
-//     Simulators on one thread make the implicit pool ambiguous and
-//     debug-assert (see ImplicitPacketPool in packet.cpp).
+//     owns one pool per event lane and destroys them after the lanes' event
+//     queues (whose callbacks are the last in-flight packet holders), so
+//     model code holding packets inside scheduled events is always safe.
+//   - Pool-ownership rule (parallel sweeps and PDES lanes): a pool, every
+//     packet it issued and every INT block it handed out belong to exactly
+//     one thread at a time — PacketPool is not internally synchronized.
+//     Each sweep job owns a full Simulator + pools + RNG built and torn
+//     down inside the job, and a partitioned run has one pool per lane;
+//     packets and blocks never cross lanes (a cross-lane handoff copies the
+//     header and the live INT entries, see EgressPort). MakePacket() and
+//     ClonePacket() follow the rule automatically: they allocate from the
+//     sole live Simulator's pool on the calling thread, and only fall back
+//     to the thread-local default pool (an escape hatch for single-threaded
+//     tests and tools, alive until thread exit) when no Simulator is alive;
+//     several live Simulators on one thread make the implicit pool
+//     ambiguous and debug-assert (see ImplicitPacketPool in packet.cpp).
 //   - Recycled packets are indistinguishable from fresh ones: Acquire()
-//     resets every field to its default and stamps a new uid, so no INT
-//     telemetry, ECN marks or path ids leak across reuses.
+//     resets every field to its default and stamps a new uid, and the
+//     packet comes back with an empty INT stack and no block attached, so
+//     no INT telemetry, ECN marks or path ids leak across reuses.
+//   - Uids are minted per pool: a pool tag drawn once at construction (a
+//     serial step of building a run) in the high bits, the pool's own
+//     acquire counter in the low bits. A pool's uid sequence therefore
+//     depends only on its own traffic, never on how other lanes' threads
+//     interleave, and uids stay unique across the pools alive in a process.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -35,7 +46,7 @@ namespace fncc {
 
 class PacketPool {
  public:
-  PacketPool() = default;
+  PacketPool();
   PacketPool(const PacketPool&) = delete;
   PacketPool& operator=(const PacketPool&) = delete;
   ~PacketPool();
@@ -64,14 +75,37 @@ class PacketPool {
   [[nodiscard]] std::uint64_t recycles() const {
     return acquires_ - arena_.size();
   }
+  /// INT blocks ever heap-allocated == the high-water mark of live packets
+  /// carrying INT at once. Constant once the pool is warm.
+  [[nodiscard]] std::size_t int_blocks_created() const {
+    return int_arena_.size();
+  }
+  /// INT blocks currently attached to loaned-out packets.
+  [[nodiscard]] std::size_t int_blocks_outstanding() const {
+    return int_arena_.size() - int_free_.size();
+  }
 
  private:
   friend struct PacketReclaimer;
-  void Release(Packet* p) noexcept { free_.push_back(p); }
+  friend class IntStack;
+
+  void Release(Packet* p) noexcept {
+    IntStack& s = p->int_stack;
+    if (s.block_ != nullptr) {
+      int_free_.push_back(s.block_);
+      s.block_ = nullptr;
+      s.size_ = 0;
+    }
+    free_.push_back(p);
+  }
+  IntBlock* AcquireIntBlock();
 
   std::vector<std::unique_ptr<Packet>> arena_;
   std::vector<Packet*> free_;
+  std::vector<std::unique_ptr<IntBlock>> int_arena_;
+  std::vector<IntBlock*> int_free_;
   std::uint64_t acquires_ = 0;
+  std::uint64_t next_uid_;  // pool tag << kUidCounterBits | counter
 };
 
 /// Per-thread fallback pool behind MakePacket()/ClonePacket() when no

@@ -35,6 +35,13 @@ class StaticVector {
     return data_[size_++];
   }
 
+  /// Replaces the contents with [first, last).
+  void assign(const T* first, const T* last) {
+    assert(static_cast<std::size_t>(last - first) <= N);
+    size_ = 0;
+    for (; first != last; ++first) data_[size_++] = *first;
+  }
+
   void pop_back() {
     assert(size_ > 0);
     --size_;

@@ -149,7 +149,7 @@ void Host::HandleData(PacketPtr pkt) {
   // (seq < rcv_nxt: duplicate from go-back-N; just re-ACK.)
 
   if (config_.attach_int_to_ack) {
-    ctx.last_int = pkt->int_stack;
+    ctx.last_int.assign(pkt->int_stack.begin(), pkt->int_stack.end());
   }
   ctx.last_path_id = pkt->path_id;
 
@@ -188,7 +188,7 @@ void Host::SendAck(const Packet& data, RecvCtx& ctx) {
   }
   if (config_.attach_int_to_ack) {
     // HPCC: the receiver echoes the request path's INT (request order).
-    ack->int_stack = ctx.last_int;
+    ack->int_stack.assign(ctx.last_int.begin(), ctx.last_int.end());
     ack->int_reversed = false;
     ack->size_bytes += static_cast<std::uint32_t>(ctx.last_int.size()) *
                        kIntBytesPerHop;

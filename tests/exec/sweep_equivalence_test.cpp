@@ -120,7 +120,7 @@ TEST(SweepEquivalenceTest, DumbbellSweepBitIdenticalAcrossThreadCounts) {
 
 TEST(SweepEquivalenceTest, RepeatedParallelRunsAreStable) {
   // Same sweep twice at the same thread count: no run-to-run drift from
-  // scheduling, the global uid counter, or pool reuse.
+  // scheduling, the pool tag counter, or pool reuse.
   const std::vector<ExperimentSpec> points = DumbbellSweepPoints();
   const std::vector<ExperimentPointResult> first =
       RunExperimentPoints(points, 8);

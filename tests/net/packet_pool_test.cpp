@@ -204,10 +204,79 @@ TEST(PacketPoolTest, PacketsHeldInScheduledEventsDrainSafely) {
 }
 
 TEST(PacketPoolTest, DetachedPacketPtrOwnsPlainHeapPacket) {
-  // A PacketPtr with a null reclaimer pool behaves like unique_ptr.
+  // A PacketPtr with a null reclaimer pool behaves like unique_ptr. With no
+  // pool behind it, the packet's INT stack owns a heap block (freed with
+  // the packet), and a copy owns its own.
   PacketPtr p(new Packet{}, PacketReclaimer{});
-  p->uid = NextPacketUid();
-  EXPECT_NE(p->uid, 0u);
+  p->int_stack.push_back(IntEntry{100.0, 1, 2, 3});
+  p->int_stack.push_back(IntEntry{100.0, 4, 5, 6});
+  ASSERT_EQ(p->int_stack.size(), 2u);
+  EXPECT_EQ(p->int_stack[1], (IntEntry{100.0, 4, 5, 6}));
+  Packet copy = *p;
+  p->int_stack.clear();
+  ASSERT_EQ(copy.int_stack.size(), 2u);
+  EXPECT_EQ(copy.int_stack[0], (IntEntry{100.0, 1, 2, 3}));
+}
+
+TEST(PacketPoolTest, IntStampReleaseCyclesAllocateNothingOnceWarm) {
+  // FNCC-shaped traffic: every packet gets INT stamped, then is released.
+  // After warm-up the pool serves both packets and INT blocks from its
+  // free lists, and every recycled packet comes back with an empty stack
+  // and no block attached.
+  PacketPool pool;
+  constexpr std::size_t kDepth = 8;
+  auto stamped = [&pool](int hops) {
+    PacketPtr p = pool.Acquire();
+    EXPECT_TRUE(p->int_stack.empty());
+    EXPECT_FALSE(p->int_stack.has_block());
+    for (int h = 0; h < hops; ++h) {
+      p->int_stack.push_back(IntEntry{100.0, h, 1, 2});
+    }
+    return p;
+  };
+  std::vector<PacketPtr> window;
+  for (std::size_t i = 0; i < kDepth; ++i) window.push_back(stamped(3));
+  const std::size_t packets_warm = pool.total_created();
+  const std::size_t blocks_warm = pool.int_blocks_created();
+  EXPECT_EQ(blocks_warm, kDepth);
+  EXPECT_EQ(pool.int_blocks_outstanding(), kDepth);
+
+  for (int i = 0; i < 10'000; ++i) {
+    PacketPtr& slot = window[static_cast<std::size_t>(i) % kDepth];
+    slot.reset();
+    slot = stamped(1 + i % kMaxIntHops);
+    ASSERT_EQ(slot->int_stack.size(),
+              static_cast<std::size_t>(1 + i % kMaxIntHops));
+  }
+  EXPECT_EQ(pool.total_created(), packets_warm);
+  EXPECT_EQ(pool.int_blocks_created(), blocks_warm);
+
+  // Packets that never carried INT never take a block.
+  PacketPtr plain = pool.Acquire();
+  EXPECT_FALSE(plain->int_stack.has_block());
+  EXPECT_EQ(pool.int_blocks_outstanding(), kDepth);
+  window.clear();
+  EXPECT_EQ(pool.int_blocks_outstanding(), 0u);
+}
+
+TEST(PacketPoolTest, UidSequenceIgnoresOtherPoolsActivity) {
+  // Each pool mints uids from its own counter: a pool's sequence is the
+  // same whether or not another pool is busy in between.
+  auto deltas = [](PacketPool& pool, PacketPool* busy) {
+    std::vector<std::uint64_t> out;
+    const std::uint64_t first = pool.Acquire()->uid;
+    for (int i = 0; i < 50; ++i) {
+      if (busy != nullptr) {
+        for (int j = 0; j <= i % 3; ++j) busy->Acquire();
+      }
+      out.push_back(pool.Acquire()->uid - first);
+    }
+    return out;
+  };
+  PacketPool quiet;
+  PacketPool observed;
+  PacketPool busy;
+  EXPECT_EQ(deltas(quiet, nullptr), deltas(observed, &busy));
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "../test_util.hpp"
 #include "net/egress_port.hpp"
+#include "net/packet_pool.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 
@@ -118,7 +119,10 @@ TEST(DomainMailboxTest, SimultaneousHandoffsDeliverInEdgeOrder) {
 }
 
 // The handoff re-materializes the packet in the destination lane's arena;
-// every wire field must survive the copy.
+// every wire field must survive the copy. The second packet is an
+// FNCC-style ACK: its INT entries ride beside the header and land in a
+// block of the destination lane's pool, in order; the source lane keeps
+// (and takes back) its own block.
 TEST(DomainMailboxTest, HandoffPreservesPacketFields) {
   Simulator sim;
   sim.Partition(2);
@@ -128,16 +132,36 @@ TEST(DomainMailboxTest, HandoffPreservesPacketFields) {
   port.SetCrossLane(1);
   sim.set_domain_lookahead(Microseconds(1));
 
+  const IntEntry hops[3] = {{100.0, 11, 1'000, 0},
+                            {400.0, 22, 2'000, 3'000},
+                            {100.0, 33, 3'000, 60'000}};
+  PacketPool* src_pool = nullptr;
   {
     Simulator::ActiveLaneScope scope(&sim, 0);
+    src_pool = &sim.packet_pool();
     PacketPtr p = MakeData(4, 7, 1234, /*flow=*/9, /*sport=*/1111,
                            /*dport=*/2222);
     p->ecn_ce = true;
     port.Enqueue(std::move(p));
+
+    PacketPtr ack = src_pool->Acquire();
+    ack->type = PacketType::kAck;
+    ack->src = 4;
+    ack->dst = 7;
+    ack->flow = 9;
+    ack->seq = 3 * 1518;
+    ack->size_bytes = kAckBytes + 3 * kIntBytesPerHop;
+    for (const IntEntry& e : hops) ack->int_stack.push_back(e);
+    ack->int_reversed = true;
+    ack->path_id = 0x5A5;
+    ack->req_path_id = 0x3C3;
+    ack->t_sent = Microseconds(42);
+    ack->concurrent_flows = 17;
+    port.Enqueue(std::move(ack));
   }
   sim.Run();
 
-  ASSERT_EQ(sink.received.size(), 1u);
+  ASSERT_EQ(sink.received.size(), 2u);
   const Packet& got = *sink.received[0];
   EXPECT_EQ(got.src, 4u);
   EXPECT_EQ(got.dst, 7u);
@@ -146,6 +170,25 @@ TEST(DomainMailboxTest, HandoffPreservesPacketFields) {
   EXPECT_EQ(got.dport, 2222);
   EXPECT_EQ(got.size_bytes, 1234u);
   EXPECT_TRUE(got.ecn_ce);
+  EXPECT_TRUE(got.int_stack.empty());
+
+  const Packet& ack = *sink.received[1];
+  EXPECT_EQ(ack.type, PacketType::kAck);
+  EXPECT_EQ(ack.flow, 9u);
+  EXPECT_EQ(ack.seq, 3u * 1518u);
+  EXPECT_EQ(ack.size_bytes, kAckBytes + 3 * kIntBytesPerHop);
+  ASSERT_EQ(ack.int_stack.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(ack.int_stack[i], hops[i]);
+  EXPECT_TRUE(ack.int_reversed);
+  EXPECT_EQ(ack.path_id, 0x5A5);
+  EXPECT_EQ(ack.req_path_id, 0x3C3);
+  EXPECT_EQ(ack.t_sent, Microseconds(42));
+  EXPECT_EQ(ack.concurrent_flows, 17);
+  // Blocks never cross lanes.
+  EXPECT_EQ(src_pool->int_blocks_created(), 1u);
+  EXPECT_EQ(src_pool->int_blocks_outstanding(), 0u);
+  Simulator::ActiveLaneScope scope(&sim, 1);
+  EXPECT_EQ(sim.packet_pool().int_blocks_outstanding(), 1u);
 }
 
 // The partitioned run and the classic single-queue run of the same
