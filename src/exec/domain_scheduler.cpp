@@ -1,6 +1,8 @@
 #include "exec/domain_scheduler.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <numeric>
 #include <utility>
 
 #include "exec/pdes_stats.hpp"
@@ -29,9 +31,12 @@ DomainScheduler::DomainScheduler(Simulator* sim, int num_threads,
         static_cast<std::size_t>(participants_), 0);
     stats_->thread_barrier_sleeps.assign(
         static_cast<std::size_t>(participants_), 0);
-    lane_events_seen_.assign(static_cast<std::size_t>(lanes_), 0);
   }
   if (!persistent_) return;
+  lane_events_seen_.assign(static_cast<std::size_t>(lanes_), 0);
+  lane_load_.assign(static_cast<std::size_t>(lanes_), 0);
+  claim_order_.resize(static_cast<std::size_t>(lanes_));
+  std::iota(claim_order_.begin(), claim_order_.end(), 0);
   barrier_ = std::make_unique<WindowBarrier>(participants_);
   workers_.reserve(static_cast<std::size_t>(participants_ - 1));
   for (int id = 1; id < participants_; ++id) {
@@ -109,7 +114,7 @@ void DomainScheduler::PrepareWindow() {
     // window's drains pick them up where they sit.
     entry_ = false;
   } else {
-    FinishWindowStats();
+    MeasureWindow();
     sim_->FlipOutboxPhase();  // seal the window that just ran
   }
   if (has_error_.load(std::memory_order_relaxed) || sim_->stop_requested()) {
@@ -132,8 +137,9 @@ void DomainScheduler::RunWindowPhase(int thread_id) {
     const Time close = close_;
     int claimed = 0;
     for (;;) {
-      const int lane = ticket_.fetch_add(1, std::memory_order_relaxed);
-      if (lane >= lanes_) break;
+      const int ticket = ticket_.fetch_add(1, std::memory_order_relaxed);
+      if (ticket >= lanes_) break;
+      const int lane = claim_order_[static_cast<std::size_t>(ticket)];
       // Drain-then-run, per lane: the sealed handoffs addressed to this
       // lane must be in its queue before its events execute (their
       // delivery times can fall inside this window).
@@ -160,19 +166,29 @@ void DomainScheduler::RunWindowPhase(int thread_id) {
   }
 }
 
-void DomainScheduler::FinishWindowStats() {
+void DomainScheduler::MeasureWindow() {
+  for (int i = 0; i < lanes_; ++i) {
+    const auto li = static_cast<std::size_t>(i);
+    const std::uint64_t events = sim_->lane_events_processed(i);
+    lane_load_[li] = events - lane_events_seen_[li];
+    lane_events_seen_[li] = events;
+  }
+  // A lane's load in one window predicts its next (the traffic pattern
+  // moves slowly next to the window length). Which thread runs a lane
+  // never changes what the lane computes, so the order is free to chase
+  // the wall clock.
+  std::sort(claim_order_.begin(), claim_order_.end(), [this](int a, int b) {
+    const std::uint64_t la = lane_load_[static_cast<std::size_t>(a)];
+    const std::uint64_t lb = lane_load_[static_cast<std::size_t>(b)];
+    return la != lb ? la > lb : a < b;
+  });
   if (stats_ == nullptr) return;
   std::uint64_t total = 0;
   for (int i = 0; i < lanes_; ++i) {
-    const std::uint64_t events = sim_->lane_events_processed(i);
-    const std::uint64_t delta =
-        events - lane_events_seen_[static_cast<std::size_t>(i)];
-    if (delta > 0) {
-      ++stats_->lane_windows[static_cast<std::size_t>(i)];
-    }
-    lane_events_seen_[static_cast<std::size_t>(i)] = events;
-    stats_->lane_events[static_cast<std::size_t>(i)] = events;
-    total += delta;
+    const auto li = static_cast<std::size_t>(i);
+    if (lane_load_[li] > 0) ++stats_->lane_windows[li];
+    stats_->lane_events[li] = lane_events_seen_[li];
+    total += lane_load_[li];
   }
   ++stats_->windows;
   stats_->events += total;

@@ -20,11 +20,15 @@
 //     *sealed* phase (net/egress_port.hpp).
 //
 // The ticket is also the work-stealing mechanism: a thread that finishes
-// its first lane early keeps claiming not-yet-started lanes. Stealing is
-// whole-lane — every event still executes in its owning lane's queue under
-// that lane's scope, so the determinism invariants (edge-named order
-// words, per-lane arenas) are untouched; only which *thread* runs a lane
-// changes, which is already asserted output-invariant.
+// its first lane early keeps claiming not-yet-started lanes. Ticket k
+// claims the k-th heaviest lane of the previous window (by executed
+// events) — longest-processing-time-first, so the heaviest lane (a
+// fat-tree's core layer) starts with the window instead of running alone
+// at its end. Stealing is whole-lane — every event still executes in its
+// owning lane's queue under that lane's scope, so the determinism
+// invariants (edge-named order words, per-lane arenas) are untouched; only
+// which *thread* runs a lane changes, which is already asserted
+// output-invariant.
 //
 // Exception semantics match ThreadPool::Wait: the first exception (in
 // completion order) is captured, every other lane still finishes its
@@ -85,7 +89,9 @@ class DomainScheduler {
   /// Barrier-loop shared by the coordinator (thread 0, inside RunUntil)
   /// and the persistent workers (threads 1..participants-1).
   void RunLoop(int thread_id);
-  void FinishWindowStats();
+  /// Reads each lane's events in the window that just ran, re-sorts the
+  /// claim order by them, and accounts the window's telemetry.
+  void MeasureWindow();
   void NoteArrival(int thread_id, WindowBarrier::Arrival arrival);
 
   Simulator* sim_;
@@ -121,8 +127,12 @@ class DomainScheduler {
   std::atomic<bool> has_error_{false};
   std::exception_ptr error_;
 
-  // Telemetry snapshots (only touched when stats_ != nullptr).
+  // Per-lane event counters at the last window's end, the events each lane
+  // ran in that window, and the lanes sorted heaviest first by those: the
+  // ticket's claim order (ties by lane index).
   std::vector<std::uint64_t> lane_events_seen_;
+  std::vector<std::uint64_t> lane_load_;
+  std::vector<int> claim_order_;
 };
 
 }  // namespace fncc

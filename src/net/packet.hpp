@@ -3,10 +3,10 @@
 //
 // A Packet is a small header (<= 128 bytes, static_asserted below): queues,
 // events and cross-lane handoffs move or copy only that. The INT stack's
-// entries live out of line in an IntBlock that the owning PacketPool hands
-// out on the first INT push and takes back when it reclaims the packet —
-// FNCC stamps INT only on ACKs, so the data packets that fill switch
-// queues never carry a block.
+// entries live out of line in a block that the owning PacketPool hands out
+// on the first INT push (a small one, enlarged only past kSmallIntHops
+// hops) and takes back when it reclaims the packet — FNCC stamps INT only
+// on ACKs, so the data packets that fill switch queues never carry a block.
 #pragma once
 
 #include <cassert>
@@ -31,6 +31,11 @@ inline constexpr NodeId kInvalidNode = 0xFFFF;
 /// Maximum switch hops a packet can record INT for. A 3-level fat-tree path
 /// crosses 5 switches; 12 leaves room for experimental topologies.
 inline constexpr int kMaxIntHops = 12;
+
+/// Entries of the small INT block a pooled packet attaches first: covers
+/// every fat-tree (5 switches), leaf-spine and dumbbell path, so a stack
+/// moves to a full kMaxIntHops block only on longer experimental paths.
+inline constexpr int kSmallIntHops = 6;
 
 /// Default wire sizes (bytes). The paper uses MTU 1518 and ~dozens-of-bytes
 /// ACKs; INT adds kIntBytesPerHop per recorded hop (Fig. 7: 64-bit entries).
@@ -61,20 +66,20 @@ struct IntEntry {
 
 class PacketPool;
 
-/// Out-of-line storage for one packet's INT stack, at full capacity.
-struct IntBlock {
-  IntEntry entries[kMaxIntHops];
-};
-
 /// A packet's INT stack: at most kMaxIntHops entries, kept out of line so
 /// the packet header stays small. Only ACKs (FNCC) or data packets (HPCC)
 /// ever carry INT, so most packets never attach a block at all.
 ///
-/// Storage rule: the first push_back() attaches an IntBlock. A pooled
-/// packet takes it from its owning PacketPool (owner_, fixed when the pool
-/// creates the packet), which takes it back when the packet is reclaimed,
-/// so blocks stay in the lane that owns the pool. A packet outside any pool
-/// (tests, benches) owns a heap block and frees it on destruction.
+/// Storage rule: the first push_back() attaches a block of kSmallIntHops
+/// entries; a push onto a full small block moves the stack to a block of
+/// kMaxIntHops entries (copying the entries, returning the small block). A
+/// pooled packet takes its blocks from its owning PacketPool (owner_, fixed
+/// when the pool creates the packet), which keeps one free list per block
+/// size and takes the attached block back when the packet is reclaimed, so
+/// blocks stay in the lane that owns the pool. A packet outside any pool
+/// (tests, benches) owns one full heap block and frees it on destruction.
+/// Either way the entries are one contiguous array (IntView reads it in
+/// place).
 ///
 /// Copying copies the entries, never the block or the owner: the target
 /// keeps its own storage, attaching a block only when there are entries.
@@ -87,21 +92,22 @@ class IntStack {
     return *this;
   }
   ~IntStack() {
-    if (owner_ == nullptr) delete block_;  // pooled blocks die with the pool
+    if (owner_ == nullptr) delete[] entries_;  // pooled: dies with the pool
   }
 
   void push_back(const IntEntry& e) {
     assert(size_ < kMaxIntHops && "INT stack overflow");
-    if (block_ == nullptr) AttachBlock();
-    block_->entries[size_++] = e;
+    if (size_ == capacity_) Reserve(size_ + 1u);
+    entries_[size_++] = e;
   }
 
   /// Replaces the contents with [first, last).
   void assign(const IntEntry* first, const IntEntry* last) {
     const auto n = static_cast<std::size_t>(last - first);
     assert(n <= kMaxIntHops && "INT stack overflow");
-    if (n != 0 && block_ == nullptr) AttachBlock();
-    for (std::size_t i = 0; i < n; ++i) block_->entries[i] = first[i];
+    size_ = 0;
+    if (n > capacity_) Reserve(n);
+    for (std::size_t i = 0; i < n; ++i) entries_[i] = first[i];
     size_ = static_cast<std::uint8_t>(n);
   }
 
@@ -110,29 +116,32 @@ class IntStack {
 
   const IntEntry& operator[](std::size_t i) const {
     assert(i < size_);
-    return block_->entries[i];
+    return entries_[i];
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] bool full() const { return size_ == kMaxIntHops; }
   /// Whether a block is attached (false on every freshly acquired packet).
-  [[nodiscard]] bool has_block() const { return block_ != nullptr; }
+  [[nodiscard]] bool has_block() const { return entries_ != nullptr; }
+  /// Entries the attached block holds: 0, kSmallIntHops or kMaxIntHops.
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
-  const IntEntry* begin() const {
-    return block_ != nullptr ? block_->entries : nullptr;
-  }
-  const IntEntry* end() const { return begin() + size_; }
+  const IntEntry* begin() const { return entries_; }
+  const IntEntry* end() const { return entries_ + size_; }
 
  private:
   friend class PacketPool;
 
-  /// Takes a block from owner_, or from the heap without one (packet.cpp).
-  void AttachBlock();
+  /// Attaches a block of at least `n` entries, keeping the current ones:
+  /// from owner_ (the smallest size that fits), or a full heap block
+  /// without one (packet.cpp).
+  void Reserve(std::size_t n);
 
-  IntBlock* block_ = nullptr;
+  IntEntry* entries_ = nullptr;  // the attached block, or null
   PacketPool* owner_ = nullptr;
   std::uint8_t size_ = 0;
+  std::uint8_t capacity_ = 0;
 };
 
 struct Packet {

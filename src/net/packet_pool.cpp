@@ -1,5 +1,6 @@
 #include "net/packet_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 
@@ -58,14 +59,23 @@ PacketPtr PacketPool::Clone(const Packet& src) {
   return p;
 }
 
-IntBlock* PacketPool::AcquireIntBlock() {
-  if (int_free_.empty()) {
-    int_arena_.push_back(std::make_unique<IntBlock>());
-    return int_arena_.back().get();
+void PacketPool::ReserveInt(IntStack& s, std::size_t n) {
+  const std::size_t capacity = n <= kSmallIntHops ? kSmallIntHops : kMaxIntHops;
+  IntBlockClass& to = int_blocks_[SizeClass(capacity)];
+  IntEntry* block;
+  if (to.free.empty()) {
+    to.arena.push_back(std::make_unique<IntEntry[]>(capacity));
+    block = to.arena.back().get();
+  } else {
+    block = to.free.back();
+    to.free.pop_back();
   }
-  IntBlock* b = int_free_.back();
-  int_free_.pop_back();
-  return b;
+  if (s.entries_ != nullptr) {
+    std::copy(s.entries_, s.entries_ + s.size_, block);
+    int_blocks_[SizeClass(s.capacity_)].free.push_back(s.entries_);
+  }
+  s.entries_ = block;
+  s.capacity_ = static_cast<std::uint8_t>(capacity);
 }
 
 PacketPool& DefaultPacketPool() {

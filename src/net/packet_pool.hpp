@@ -3,10 +3,13 @@
 //
 // Ownership contract:
 //   - The pool owns the storage of every packet it ever created (arena_)
-//     and of every INT block it ever handed out (int_arena_). A PacketPtr
-//     is a loan; its destructor pushes the packet back onto the free list
-//     via PacketReclaimer, and the pool takes back the packet's INT block
-//     (if it attached one) onto the block free list at the same time.
+//     and of every INT block it ever handed out (int_blocks_, one arena and
+//     free list per block size: kSmallIntHops and kMaxIntHops entries). A
+//     PacketPtr is a loan; its destructor pushes the packet back onto the
+//     free list via PacketReclaimer, and the pool takes back the packet's
+//     INT block (if it attached one) onto that size's free list at the
+//     same time. A stack that outgrows its small block returns it as it
+//     moves to a full one (IntStack::push_back).
 //   - The pool must therefore outlive every PacketPtr it issued. Simulator
 //     owns one pool per event lane and destroys them after the lanes' event
 //     queues (whose callbacks are the last in-flight packet holders), so
@@ -75,35 +78,59 @@ class PacketPool {
   [[nodiscard]] std::uint64_t recycles() const {
     return acquires_ - arena_.size();
   }
-  /// INT blocks ever heap-allocated == the high-water mark of live packets
-  /// carrying INT at once. Constant once the pool is warm.
+  /// INT blocks ever heap-allocated, both sizes together; per size, the
+  /// high-water mark of live packets holding a block of that size at once.
+  /// Constant once the pool is warm.
   [[nodiscard]] std::size_t int_blocks_created() const {
-    return int_arena_.size();
+    return int_blocks_[0].arena.size() + int_blocks_[1].arena.size();
+  }
+  /// INT blocks of `capacity` entries (kSmallIntHops or kMaxIntHops) ever
+  /// heap-allocated, and currently on that size's free list.
+  [[nodiscard]] std::size_t int_blocks_created(std::size_t capacity) const {
+    return int_blocks_[SizeClass(capacity)].arena.size();
+  }
+  [[nodiscard]] std::size_t int_blocks_free(std::size_t capacity) const {
+    return int_blocks_[SizeClass(capacity)].free.size();
   }
   /// INT blocks currently attached to loaned-out packets.
   [[nodiscard]] std::size_t int_blocks_outstanding() const {
-    return int_arena_.size() - int_free_.size();
+    return int_blocks_created() - int_blocks_[0].free.size() -
+           int_blocks_[1].free.size();
   }
 
  private:
   friend struct PacketReclaimer;
   friend class IntStack;
 
+  /// INT block storage of one size: every block ever created, and the
+  /// ones not attached to a packet.
+  struct IntBlockClass {
+    std::vector<std::unique_ptr<IntEntry[]>> arena;
+    std::vector<IntEntry*> free;
+  };
+
+  /// int_blocks_ index of a block holding `capacity` entries.
+  static std::size_t SizeClass(std::size_t capacity) {
+    return capacity > kSmallIntHops ? 1 : 0;
+  }
+
   void Release(Packet* p) noexcept {
     IntStack& s = p->int_stack;
-    if (s.block_ != nullptr) {
-      int_free_.push_back(s.block_);
-      s.block_ = nullptr;
+    if (s.entries_ != nullptr) {
+      int_blocks_[SizeClass(s.capacity_)].free.push_back(s.entries_);
+      s.entries_ = nullptr;
       s.size_ = 0;
+      s.capacity_ = 0;
     }
     free_.push_back(p);
   }
-  IntBlock* AcquireIntBlock();
+  /// Moves `s` to a block of the smallest size that holds `n` entries,
+  /// keeping its entries and returning its old block.
+  void ReserveInt(IntStack& s, std::size_t n);
 
   std::vector<std::unique_ptr<Packet>> arena_;
   std::vector<Packet*> free_;
-  std::vector<std::unique_ptr<IntBlock>> int_arena_;
-  std::vector<IntBlock*> int_free_;
+  IntBlockClass int_blocks_[2];  // [0] kSmallIntHops, [1] kMaxIntHops
   std::uint64_t acquires_ = 0;
   std::uint64_t next_uid_;  // pool tag << kUidCounterBits | counter
 };

@@ -250,6 +250,12 @@ class EventQueue {
     return wheel_.size() + heap_.size();
   }
 
+  /// Records the timing wheel's own vectors retain capacity for: O(live
+  /// events) (see TimingWheel::retained_entries).
+  [[nodiscard]] std::size_t wheel_retained_entries() const {
+    return wheel_.retained_entries();
+  }
+
  private:
   struct HeapEntry {
     Time t;

@@ -4,8 +4,9 @@
 
 namespace fncc {
 
-void TimingWheel::Place(const SchedEntry& e) {
-  const std::uint64_t tick = Tick(e.t);
+void TimingWheel::Place(std::uint32_t slot) {
+  std::vector<SlotMeta>& meta = *meta_;
+  const std::uint64_t tick = Tick(meta[slot].t);
   for (int level = 0; level < kLevels; ++level) {
     // Level L holds the event iff its level-(L+1) tick equals the cursor's:
     // the event lies inside the cursor's current level-L wheel revolution,
@@ -14,14 +15,19 @@ void TimingWheel::Place(const SchedEntry& e) {
         (cur_ >> ((level + 1) * kSlotBits))) {
       const auto s =
           static_cast<std::uint32_t>((tick >> (level * kSlotBits)) & kSlotMask);
-      std::vector<SchedEntry>& bucket = Bucket(level, s);
-      assert(bucket.size() < kMaxBucketEntries && "bucket index overflow");
-      (*meta_)[e.slot].loc = kLocWheelTag |
-                             (static_cast<std::uint32_t>(level) << 28) |
-                             (s << 20) |
-                             static_cast<std::uint32_t>(bucket.size());
-      bucket.push_back(e);
-      bitmap_[level] |= 1ull << s;
+      const std::uint32_t index =
+          static_cast<std::uint32_t>(level) * kWheelSlots + s;
+      Bucket& bucket = buckets_[index];
+      meta[slot].next = kNilSlot;
+      meta[slot].prev = bucket.tail;
+      if (bucket.tail != kNilSlot) {
+        meta[bucket.tail].next = slot;
+      } else {
+        bucket.head = slot;
+        bitmap_[level] |= 1ull << s;
+      }
+      bucket.tail = slot;
+      meta[slot].loc = kLocWheelTag | index;
       return;
     }
   }
@@ -31,23 +37,25 @@ void TimingWheel::Place(const SchedEntry& e) {
 void TimingWheel::Remove(std::uint32_t slot, std::uint32_t loc) {
   const std::uint32_t tag = loc & ~kLocIndexMask;
   if (tag == kLocWheelTag) {
-    const int level = static_cast<int>((loc >> 28) & 0x3);
-    const std::uint32_t s = (loc >> 20) & 0xFF;
-    const std::uint32_t index = loc & 0xF'FFFF;
-    std::vector<SchedEntry>& bucket = Bucket(level, s);
-    assert(index < bucket.size() && bucket[index].slot == slot);
-    if (index + 1 != bucket.size()) {  // swap-remove; order is sorted later
-      bucket[index] = bucket.back();
-      (*meta_)[bucket[index].slot].loc =
-          kLocWheelTag | (static_cast<std::uint32_t>(level) << 28) |
-          (s << 20) | index;
+    const std::uint32_t index = loc & kLocIndexMask;
+    Bucket& bucket = buckets_[index];
+    std::vector<SlotMeta>& meta = *meta_;
+    const SlotMeta& n = meta[slot];
+    // Unlinking keeps the survivors in insertion order.
+    if (n.prev != kNilSlot) {
+      meta[n.prev].next = n.next;
+    } else {
+      assert(bucket.head == slot);
+      bucket.head = n.next;
     }
-    bucket.pop_back();
-    if (bucket.empty()) {
-      bitmap_[level] &= ~(1ull << s);
-      dirty_[level] &= ~(1ull << s);
-    } else if (index != bucket.size()) {
-      dirty_[level] |= 1ull << s;  // swap-remove broke insertion order
+    if (n.next != kNilSlot) {
+      meta[n.next].prev = n.prev;
+    } else {
+      assert(bucket.tail == slot);
+      bucket.tail = n.prev;
+    }
+    if (bucket.head == kNilSlot) {
+      bitmap_[index / kWheelSlots] &= ~(1ull << (index & kSlotMask));
     }
   } else {
     assert(tag == kLocDrainTag);
@@ -55,28 +63,28 @@ void TimingWheel::Remove(std::uint32_t slot, std::uint32_t loc) {
     assert(index < drain_.size() && drain_[index].slot == slot);
     drain_[index].slot = kDeadSlot;  // tombstone; skipped at the head
   }
-  (void)slot;
   --count_;
 }
 
 void TimingWheel::DrainBucket(std::uint32_t s) {
   assert(drain_.empty() && drain_head_ == 0);
-  drain_.swap(Bucket(0, s));  // capacities circulate; no allocation when warm
-  bitmap_[0] &= ~(1ull << s);
-  const bool dirty = (dirty_[0] >> s) & 1;
-  dirty_[0] &= ~(1ull << s);
-  SortDrain(dirty);
+  std::vector<SlotMeta>& meta = *meta_;
+  // The drain's capacity persists across buckets: no allocation when warm.
+  for (std::uint32_t i = TakeBucket(0, s); i != kNilSlot; i = meta[i].next) {
+    drain_.push_back(SchedEntry{meta[i].t, meta[i].seq, i});
+  }
+  SortDrain();
   for (std::size_t j = 0; j < drain_.size(); ++j) {
-    (*meta_)[drain_[j].slot].loc = kLocDrainTag | static_cast<std::uint32_t>(j);
+    meta[drain_[j].slot].loc = kLocDrainTag | static_cast<std::uint32_t>(j);
   }
 }
 
-void TimingWheel::SortDrain(bool dirty) {
+void TimingWheel::SortDrain() {
   const std::size_t n = drain_.size();
   // Below this, one 2^kTickShift-entry prefix scan costs more than the
   // comparison sort it replaces.
   constexpr std::size_t kCountingSortMin = 256;
-  if (dirty || n < kCountingSortMin) {
+  if (n < kCountingSortMin) {
     if (!std::is_sorted(drain_.begin(), drain_.end(), Before)) {
       std::sort(drain_.begin(), drain_.end(), Before);
     }
@@ -84,8 +92,8 @@ void TimingWheel::SortDrain(bool dirty) {
   }
   // All entries share the bucket's tick, so the sub-tick offset is a total
   // order on t; counting-sort stability keeps equal-t entries in array
-  // order, which for a clean bucket is insertion order — for natives that
-  // IS seq order, with no comparisons.
+  // order, which is the bucket's insertion order — for natives that IS seq
+  // order, with no comparisons.
   constexpr std::uint32_t kKeys = 1u << kTickShift;
   counts_.assign(kKeys, 0);
   for (const SchedEntry& e : drain_) {
@@ -121,19 +129,12 @@ void TimingWheel::SortDrain(bool dirty) {
 }
 
 void TimingWheel::CascadeBucket(int level, std::uint32_t s) {
-  std::vector<SchedEntry>& bucket = Bucket(level, s);
-  bitmap_[level] &= ~(1ull << s);
-  const bool dirty = (dirty_[level] >> s) & 1;
-  dirty_[level] &= ~(1ull << s);
-  for (const SchedEntry& e : bucket) {
-    Place(e);
-    if (dirty) {
-      // Taint the destination so its drain re-sorts by (t, seq).
-      const std::uint32_t loc = (*meta_)[e.slot].loc;
-      dirty_[(loc >> 28) & 0x3] |= 1ull << ((loc >> 20) & 0xFF);
-    }
+  std::vector<SlotMeta>& meta = *meta_;
+  for (std::uint32_t i = TakeBucket(level, s); i != kNilSlot;) {
+    const std::uint32_t next = meta[i].next;  // Place relinks i
+    Place(i);
+    i = next;
   }
-  bucket.clear();
 }
 
 void TimingWheel::Refill() {

@@ -11,19 +11,26 @@
 // non-empty bucket is one ctz over a per-level occupancy word.
 //
 // Ordering contract (shared with EventQueue): events are totally ordered by
-// (time, schedule sequence). A bucket spans many distinct timestamps, so
-// buckets are unordered contiguous vectors; when the cursor reaches a
-// bucket its entries are swapped into a drain vector and sorted, which is
-// what Peek()/Pop() serve from. The wheel refuses (`Accepts` == false)
-// events at or behind the cursor's tick while the drain is live — those go
-// to the overflow heap, which EventQueue already merges with the wheel at
-// pop by (t, seq) — so the global pop order is exact, identical to a single
-// heap, with no mid-drain insertion path.
+// (time, schedule sequence). A bucket spans many distinct timestamps, so a
+// bucket is an intrusive FIFO list in insertion order, threaded through the
+// nodes of EventQueue's slot table (SlotMeta); when the cursor reaches a
+// level-0 bucket its list is copied into a drain vector and sorted, which
+// is what Peek()/Pop() serve from. Unlinking a cancelled or rescheduled
+// entry keeps the list in insertion order, so for natives (minted counters)
+// list order IS seq order and the drain sort is a stable counting sort on
+// the sub-tick offset. The wheel refuses (`Accepts` == false) events at or
+// behind the cursor's tick while the drain is live — those go to the
+// overflow heap, which EventQueue already merges with the wheel at pop by
+// (t, seq) — so the global pop order is exact, identical to a single heap,
+// with no mid-drain insertion path.
 //
-// The wheel stores only {t, seq, slot} records. Callbacks, slot generations
-// and the slot free list stay in EventQueue; the wheel writes each slot's
-// current location (bucket coordinates or drain index) into the shared
-// SlotMeta table so cancellation stays exact and O(1).
+// Memory follows the live events: a bucket is two slot indices, the nodes
+// live in the slot table (which grows to the high-water mark of pending
+// events), and the only growable wheel storage is the drain (and its sort
+// scratch), bounded by the largest level-0 bucket drained. Callbacks, slot
+// generations and the slot free list stay in EventQueue; the wheel writes
+// each slot's node and current location (bucket or drain index) into the
+// shared SlotMeta table so cancellation stays exact and O(1).
 #pragma once
 
 #include <bit>
@@ -36,7 +43,8 @@
 namespace fncc {
 
 /// A scheduled-event record: absolute time, global schedule sequence (FIFO
-/// tie-break for simultaneous events), and the owning callback slot.
+/// tie-break for simultaneous events), and the owning callback slot. The
+/// drain holds these; Peek() returns one.
 struct SchedEntry {
   Time t;
   std::uint64_t seq;
@@ -47,7 +55,7 @@ struct SchedEntry {
 /// EventQueue heap and the TimingWheel; read on cancel/reschedule.
 /// Encoding (tag = loc >> 30):
 ///   tag 0 — overflow-heap position (EventQueue's binary heap)
-///   tag 1 — wheel bucket: level [29:28], bucket slot [27:20], index [19:0]
+///   tag 1 — wheel bucket: level * kWheelSlots + bucket slot
 ///   tag 2 — drain index [29:0]
 ///   kLocNone — not scheduled
 inline constexpr std::uint32_t kLocNone = 0xFFFF'FFFF;
@@ -56,11 +64,19 @@ inline constexpr std::uint32_t kLocHeapTag = 0u << 30;
 inline constexpr std::uint32_t kLocWheelTag = 1u << 30;
 inline constexpr std::uint32_t kLocDrainTag = 2u << 30;
 
-/// Slot bookkeeping, parallel to the callback table. 8 bytes per slot keeps
-/// the write-hot location updates cache-resident (see event_queue.hpp).
+/// Slot bookkeeping, parallel to the callback table: the id generation and
+/// location every scheduled slot needs, plus the slot's node in a wheel
+/// bucket's FIFO list — the event's (t, seq) and its links (slot indices,
+/// kNilSlot at the ends), meaningful only while the slot is in a bucket.
+/// One 32-byte record, so a wheel insert, unlink or drain touches one
+/// cache line per slot.
 struct SlotMeta {
   std::uint32_t generation = 0;  // bumped on release; guards stale ids
   std::uint32_t loc = kLocNone;
+  std::uint32_t next = 0;
+  std::uint32_t prev = 0;
+  Time t = 0;
+  std::uint64_t seq = 0;
 };
 
 class TimingWheel {
@@ -73,11 +89,10 @@ class TimingWheel {
   static constexpr int kSlotBits = 6;
   static constexpr std::uint32_t kWheelSlots = 1u << kSlotBits;  // 64
   static constexpr std::uint32_t kSlotMask = kWheelSlots - 1;
-  /// Entries per bucket must fit the 20-bit index field of the loc word.
-  static constexpr std::uint32_t kMaxBucketEntries = 1u << 20;
 
-  /// `meta` is EventQueue's slot table; the wheel writes loc fields only.
-  /// The pointee may reallocate (slot growth); the pointer must stay valid.
+  /// `meta` is EventQueue's slot table; the wheel writes the loc and node
+  /// fields only. The pointee may reallocate (slot growth); the pointer
+  /// must stay valid.
   explicit TimingWheel(std::vector<SlotMeta>* meta) : meta_(meta) {}
 
   /// True if an event at absolute time `t` belongs in the wheel given the
@@ -98,7 +113,10 @@ class TimingWheel {
   void Insert(const SchedEntry& e) {
     assert(Accepts(e.t));
     ++count_;
-    Place(e);
+    SlotMeta& n = (*meta_)[e.slot];
+    n.t = e.t;
+    n.seq = e.seq;
+    Place(e.slot);
   }
 
   /// Removes the entry for `slot` given its location word. O(1).
@@ -146,10 +164,25 @@ class TimingWheel {
 
   [[nodiscard]] std::size_t size() const { return count_; }
 
+  /// SchedEntry records the wheel's own vectors hold capacity for (drain
+  /// plus sort scratch). Bounded by the largest level-0 bucket ever
+  /// drained, so it stays O(live events) however far timers sweep.
+  [[nodiscard]] std::size_t retained_entries() const {
+    return drain_.capacity() + scratch_.capacity();
+  }
+
  private:
-  /// Tombstone marker for cancelled drain entries (never a real slot: slot
-  /// ids are dense indices into EventQueue's slot table).
-  static constexpr std::uint32_t kDeadSlot = 0xFFFF'FFFF;
+  /// End-of-list marker in SlotMeta links and Bucket ends, and tombstone
+  /// for cancelled drain entries (never a real slot: slot ids are dense
+  /// indices into EventQueue's slot table).
+  static constexpr std::uint32_t kNilSlot = 0xFFFF'FFFF;
+  static constexpr std::uint32_t kDeadSlot = kNilSlot;
+
+  /// One bucket's FIFO list of slots, oldest first.
+  struct Bucket {
+    std::uint32_t head = kNilSlot;
+    std::uint32_t tail = kNilSlot;
+  };
 
   static std::uint64_t Tick(Time t) {
     return static_cast<std::uint64_t>(t) >> kTickShift;
@@ -160,29 +193,33 @@ class TimingWheel {
 
   [[nodiscard]] bool DrainLive() const { return drain_head_ < drain_.size(); }
 
-  /// Appends `e` to the bucket its time selects under the current cursor
-  /// and records its location. Precondition: within horizon, not behind
-  /// the cursor.
-  void Place(const SchedEntry& e);
-  /// Moves the level-0 bucket `s` into the (empty) drain, sorted.
+  /// Appends `slot` (its node's t already set) to the tail of the bucket
+  /// its time selects under the current cursor and records its location.
+  /// Precondition: within horizon, not behind the cursor.
+  void Place(std::uint32_t slot);
+  /// Copies the level-0 bucket `s` into the (empty) drain, sorted.
   void DrainBucket(std::uint32_t s);
-  /// Sorts the freshly swapped-in drain by (t, seq). A clean bucket is in
-  /// seq (insertion) order, and a level-0 bucket spans exactly one tick, so
-  /// a stable counting sort on the sub-tick key suffices; `dirty` (a
-  /// swap-remove disturbed the order) or small inputs fall back to
+  /// Sorts the freshly filled drain by (t, seq). The list was in insertion
+  /// order and a level-0 bucket spans exactly one tick, so a stable
+  /// counting sort on the sub-tick key suffices; small inputs fall back to
   /// std::sort.
-  void SortDrain(bool dirty);
-  /// Re-places every entry of bucket `s` at `level` into lower levels after
-  /// the cursor entered that bucket's range.
+  void SortDrain();
+  /// Empties bucket `s` at `level` and returns its list's head.
+  std::uint32_t TakeBucket(int level, std::uint32_t s) {
+    Bucket& b = buckets_[static_cast<std::uint32_t>(level) * kWheelSlots + s];
+    const std::uint32_t head = b.head;
+    b = Bucket{};
+    bitmap_[level] &= ~(1ull << s);
+    return head;
+  }
+  /// Re-places every entry of bucket `s` at `level`, in list order, into
+  /// lower levels after the cursor entered that bucket's range.
   void CascadeBucket(int level, std::uint32_t s);
   /// Refills an empty drain from the buckets. Precondition: count_ > 0.
   void Refill();
   /// Peek's out-of-line tail: skips drain tombstones and refills.
   [[nodiscard]] const SchedEntry* PeekSlow();
 
-  [[nodiscard]] std::vector<SchedEntry>& Bucket(int level, std::uint32_t s) {
-    return buckets_[static_cast<std::uint32_t>(level) * kWheelSlots + s];
-  }
   /// Lowest set bit index >= from in the level's occupancy word, or -1.
   [[nodiscard]] int FindSet(int level, std::uint32_t from) const {
     const std::uint64_t bits = bitmap_[level] & (~0ull << from);
@@ -191,14 +228,9 @@ class TimingWheel {
 
   std::vector<SlotMeta>* meta_;
 
-  /// kLevels * kWheelSlots contiguous buckets; capacities persist across
-  /// reuse, so the steady state allocates nothing.
-  std::vector<SchedEntry> buckets_[kLevels * kWheelSlots];
+  /// kLevels * kWheelSlots buckets, level-major.
+  Bucket buckets_[kLevels * kWheelSlots];
   std::uint64_t bitmap_[kLevels] = {};  // per-level bucket occupancy
-  /// Buckets whose insertion order was disturbed by a swap-remove; their
-  /// drain pass needs the comparison sort. Cascading a dirty bucket taints
-  /// the destinations.
-  std::uint64_t dirty_[kLevels] = {};
 
   // Counting-sort workspace (reused; no steady-state allocation).
   std::vector<std::uint32_t> counts_;

@@ -7,6 +7,7 @@
 #include <set>
 #include <vector>
 
+#include "cc/int_view.hpp"
 #include "sim/simulator.hpp"
 
 namespace fncc {
@@ -220,9 +221,9 @@ TEST(PacketPoolTest, DetachedPacketPtrOwnsPlainHeapPacket) {
 
 TEST(PacketPoolTest, IntStampReleaseCyclesAllocateNothingOnceWarm) {
   // FNCC-shaped traffic: every packet gets INT stamped, then is released.
-  // After warm-up the pool serves both packets and INT blocks from its
-  // free lists, and every recycled packet comes back with an empty stack
-  // and no block attached.
+  // After warm-up the pool serves packets and INT blocks of both sizes
+  // from its free lists, and every recycled packet comes back with an
+  // empty stack and no block attached.
   PacketPool pool;
   constexpr std::size_t kDepth = 8;
   auto stamped = [&pool](int hops) {
@@ -234,11 +235,21 @@ TEST(PacketPoolTest, IntStampReleaseCyclesAllocateNothingOnceWarm) {
     }
     return p;
   };
+  // Warm both block sizes to the window's depth: kDepth packets holding a
+  // small block at once, then kDepth holding a full one (each passes
+  // through a recycled small block on its way up and hands it back).
   std::vector<PacketPtr> window;
-  for (std::size_t i = 0; i < kDepth; ++i) window.push_back(stamped(3));
+  for (std::size_t i = 0; i < kDepth; ++i) {
+    window.push_back(stamped(kSmallIntHops));
+  }
+  for (PacketPtr& slot : window) {
+    slot.reset();
+    slot = stamped(kMaxIntHops);
+  }
   const std::size_t packets_warm = pool.total_created();
   const std::size_t blocks_warm = pool.int_blocks_created();
-  EXPECT_EQ(blocks_warm, kDepth);
+  EXPECT_EQ(pool.int_blocks_created(kSmallIntHops), kDepth);
+  EXPECT_EQ(pool.int_blocks_created(kMaxIntHops), kDepth);
   EXPECT_EQ(pool.int_blocks_outstanding(), kDepth);
 
   for (int i = 0; i < 10'000; ++i) {
@@ -257,6 +268,58 @@ TEST(PacketPoolTest, IntStampReleaseCyclesAllocateNothingOnceWarm) {
   EXPECT_EQ(pool.int_blocks_outstanding(), kDepth);
   window.clear();
   EXPECT_EQ(pool.int_blocks_outstanding(), 0u);
+}
+
+TEST(PacketPoolTest, SeventhIntPushMovesStackToFullBlock) {
+  // A pooled stack starts in a small block; the push past kSmallIntHops
+  // moves it to a full block, keeping every entry and handing the small
+  // block back to its own free list.
+  PacketPool pool;
+  PacketPtr p = pool.Acquire();
+  const auto entry = [](int h) {
+    return IntEntry{100.0 + h, h, 1'000u * static_cast<unsigned>(h), 7};
+  };
+  for (int h = 0; h < kSmallIntHops; ++h) p->int_stack.push_back(entry(h));
+  EXPECT_EQ(p->int_stack.capacity(), static_cast<std::size_t>(kSmallIntHops));
+  EXPECT_EQ(pool.int_blocks_created(kSmallIntHops), 1u);
+  EXPECT_EQ(pool.int_blocks_created(kMaxIntHops), 0u);
+
+  p->int_stack.push_back(entry(kSmallIntHops));
+  constexpr std::size_t kHops = kSmallIntHops + 1;
+  ASSERT_EQ(p->int_stack.size(), kHops);
+  EXPECT_EQ(p->int_stack.capacity(), static_cast<std::size_t>(kMaxIntHops));
+  EXPECT_EQ(pool.int_blocks_created(kMaxIntHops), 1u);
+  EXPECT_EQ(pool.int_blocks_free(kSmallIntHops), 1u);  // handed back
+  EXPECT_EQ(pool.int_blocks_free(kMaxIntHops), 0u);
+  EXPECT_EQ(pool.int_blocks_outstanding(), 1u);
+  for (std::size_t i = 0; i < kHops; ++i) {
+    EXPECT_EQ(p->int_stack[i], entry(static_cast<int>(i)));
+  }
+
+  // IntView reads the full block in place, in either stamping order.
+  p->int_reversed = false;
+  const IntView view(*p);
+  ASSERT_EQ(view.hops(), kHops);
+  for (std::size_t i = 0; i < kHops; ++i) {
+    EXPECT_EQ(view.hop(i), entry(static_cast<int>(i)));
+  }
+  p->int_reversed = true;
+  const IntView reversed(*p);
+  ASSERT_EQ(reversed.hops(), kHops);
+  for (std::size_t i = 0; i < kHops; ++i) {
+    EXPECT_EQ(reversed.hop(i), entry(static_cast<int>(kHops - 1 - i)));
+  }
+
+  // Reclaiming the packet returns the full block to the full free list.
+  p.reset();
+  EXPECT_EQ(pool.int_blocks_free(kMaxIntHops), 1u);
+  EXPECT_EQ(pool.int_blocks_free(kSmallIntHops), 1u);
+  EXPECT_EQ(pool.int_blocks_outstanding(), 0u);
+  // The next stamp starts small again, from the recycled small block.
+  PacketPtr q = pool.Acquire();
+  q->int_stack.push_back(entry(0));
+  EXPECT_EQ(q->int_stack.capacity(), static_cast<std::size_t>(kSmallIntHops));
+  EXPECT_EQ(pool.int_blocks_created(), 2u);
 }
 
 TEST(PacketPoolTest, UidSequenceIgnoresOtherPoolsActivity) {

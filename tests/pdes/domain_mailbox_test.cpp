@@ -118,11 +118,18 @@ TEST(DomainMailboxTest, SimultaneousHandoffsDeliverInEdgeOrder) {
   EXPECT_EQ(sim.Now(), 80'000 + 1'000'000);
 }
 
+// Hop `h` of a 9-hop INT stack: every field distinct per hop.
+IntEntry LongHop(int h) {
+  return IntEntry{25.0 * (h + 1), 100 + h, 10'000u * static_cast<unsigned>(h),
+                  static_cast<std::uint64_t>(h) * 1'500};
+}
+
 // The handoff re-materializes the packet in the destination lane's arena;
 // every wire field must survive the copy. The second packet is an
 // FNCC-style ACK: its INT entries ride beside the header and land in a
 // block of the destination lane's pool, in order; the source lane keeps
-// (and takes back) its own block.
+// (and takes back) its own block. The third carries 9 entries, more than
+// a small block holds: it leaves in a full block and arrives in one.
 TEST(DomainMailboxTest, HandoffPreservesPacketFields) {
   Simulator sim;
   sim.Partition(2);
@@ -158,10 +165,19 @@ TEST(DomainMailboxTest, HandoffPreservesPacketFields) {
     ack->t_sent = Microseconds(42);
     ack->concurrent_flows = 17;
     port.Enqueue(std::move(ack));
+
+    PacketPtr long_ack = src_pool->Acquire();
+    long_ack->type = PacketType::kAck;
+    long_ack->flow = 10;
+    long_ack->size_bytes = kAckBytes + 9 * kIntBytesPerHop;
+    for (int h = 0; h < 9; ++h) long_ack->int_stack.push_back(LongHop(h));
+    EXPECT_EQ(long_ack->int_stack.capacity(),
+              static_cast<std::size_t>(kMaxIntHops));
+    port.Enqueue(std::move(long_ack));
   }
   sim.Run();
 
-  ASSERT_EQ(sink.received.size(), 2u);
+  ASSERT_EQ(sink.received.size(), 3u);
   const Packet& got = *sink.received[0];
   EXPECT_EQ(got.src, 4u);
   EXPECT_EQ(got.dst, 7u);
@@ -184,11 +200,30 @@ TEST(DomainMailboxTest, HandoffPreservesPacketFields) {
   EXPECT_EQ(ack.req_path_id, 0x3C3);
   EXPECT_EQ(ack.t_sent, Microseconds(42));
   EXPECT_EQ(ack.concurrent_flows, 17);
-  // Blocks never cross lanes.
-  EXPECT_EQ(src_pool->int_blocks_created(), 1u);
+
+  const Packet& long_ack = *sink.received[2];
+  EXPECT_EQ(long_ack.flow, 10u);
+  ASSERT_EQ(long_ack.int_stack.size(), 9u);
+  for (std::size_t i = 0; i < 9; ++i) {
+    EXPECT_EQ(long_ack.int_stack[i], LongHop(static_cast<int>(i)));
+  }
+  EXPECT_EQ(long_ack.int_stack.capacity(),
+            static_cast<std::size_t>(kMaxIntHops));
+
+  // Blocks never cross lanes: the source lane took back every block it
+  // handed out, each onto its own size's free list (the long ACK's small
+  // block went back when it moved up), and the destination lane holds one
+  // block per delivered ACK, sized to its entries.
+  EXPECT_EQ(src_pool->int_blocks_created(kMaxIntHops), 1u);
   EXPECT_EQ(src_pool->int_blocks_outstanding(), 0u);
+  EXPECT_EQ(src_pool->int_blocks_free(kSmallIntHops),
+            src_pool->int_blocks_created(kSmallIntHops));
+  EXPECT_EQ(src_pool->int_blocks_free(kMaxIntHops), 1u);
   Simulator::ActiveLaneScope scope(&sim, 1);
-  EXPECT_EQ(sim.packet_pool().int_blocks_outstanding(), 1u);
+  const PacketPool& dst_pool = sim.packet_pool();
+  EXPECT_EQ(dst_pool.int_blocks_created(kSmallIntHops), 1u);
+  EXPECT_EQ(dst_pool.int_blocks_created(kMaxIntHops), 1u);
+  EXPECT_EQ(dst_pool.int_blocks_outstanding(), 2u);
 }
 
 // The partitioned run and the classic single-queue run of the same
