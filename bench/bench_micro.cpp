@@ -234,8 +234,9 @@ CcConfig MicroCcConfig(CcMode mode) {
   return c;
 }
 
-PacketPtr IntAck(std::uint64_t seq, Time ts, std::uint64_t tx, bool reversed) {
-  PacketPtr ack = MakePacket();
+PacketPtr IntAck(PacketPool& pool, std::uint64_t seq, Time ts,
+                 std::uint64_t tx, bool reversed) {
+  PacketPtr ack = pool.Acquire();
   ack->type = PacketType::kAck;
   ack->seq = seq;
   ack->int_reversed = reversed;
@@ -247,6 +248,7 @@ PacketPtr IntAck(std::uint64_t seq, Time ts, std::uint64_t tx, bool reversed) {
 }
 
 void BM_HpccAckProcessing(benchmark::State& state) {
+  PacketPool pool;
   HpccAlgorithm cc(MicroCcConfig(CcMode::kHpcc));
   std::uint64_t seq = 1;
   Time ts = 0;
@@ -255,13 +257,14 @@ void BM_HpccAckProcessing(benchmark::State& state) {
     ts += Microseconds(1);
     tx += 12'500;
     seq += 1518;
-    cc.OnAck(*IntAck(seq, ts, tx, false), seq + 150'000);
+    cc.OnAck(*IntAck(pool, seq, ts, tx, false), seq + 150'000);
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HpccAckProcessing);
 
 void BM_FnccAckProcessing(benchmark::State& state) {
+  PacketPool pool;
   FnccAlgorithm cc(MicroCcConfig(CcMode::kFncc));
   std::uint64_t seq = 1;
   Time ts = 0;
@@ -270,7 +273,7 @@ void BM_FnccAckProcessing(benchmark::State& state) {
     ts += Microseconds(1);
     tx += 12'500;
     seq += 1518;
-    cc.OnAck(*IntAck(seq, ts, tx, true), seq + 150'000);
+    cc.OnAck(*IntAck(pool, seq, ts, tx, true), seq + 150'000);
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -125,7 +125,7 @@ class InlineCc {
 
   // Header (base pointer + tag) first: the cold-path consultations that
   // read through base_ touch the object's first bytes without paging in
-  // the ~900-byte union behind them.
+  // the ~560-byte union behind them.
   CcAlgorithm* base_ = nullptr;  // points into u_; null when empty
   CcMode mode_ = CcMode::kFncc;
   Storage u_;

@@ -269,16 +269,4 @@ inline PacketPtr WrapRawPacket(Packet* raw) {
   return PacketPtr(raw, PacketReclaimer{raw->pool});
 }
 
-/// Allocates a packet with a fresh uid from the implicit pool: the sole
-/// live Simulator's pool on this thread when there is one (so the packet
-/// shares that run's arena and lifetime), else the thread-default pool —
-/// an escape hatch for single-threaded tests and tools. Several live
-/// Simulators on one thread are ambiguous and debug-assert; hot-path
-/// simulation components allocate from their Simulator's pool directly.
-PacketPtr MakePacket();
-
-/// Clones every field except uid (fresh) — used by tests and mirroring.
-/// Served from the same implicit pool as MakePacket().
-PacketPtr ClonePacket(const Packet& p);
-
 }  // namespace fncc

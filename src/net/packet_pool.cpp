@@ -47,18 +47,6 @@ PacketPtr PacketPool::Acquire() {
   return PacketPtr(p, PacketReclaimer{this});
 }
 
-PacketPtr PacketPool::Clone(const Packet& src) {
-  PacketPtr p = Acquire();
-  const std::uint64_t uid = p->uid;
-  *p = src;  // INT entries land in a block of this pool
-  p->uid = uid;
-  // Transport-plumbing fields describe the source's queue position and
-  // owner, not the clone's; the hand-off helpers refresh them as needed.
-  p->next = nullptr;
-  p->pool = nullptr;
-  return p;
-}
-
 void PacketPool::ReserveInt(IntStack& s, std::size_t n) {
   const std::size_t capacity = n <= kSmallIntHops ? kSmallIntHops : kMaxIntHops;
   IntBlockClass& to = int_blocks_[SizeClass(capacity)];
@@ -76,11 +64,6 @@ void PacketPool::ReserveInt(IntStack& s, std::size_t n) {
   }
   s.entries_ = block;
   s.capacity_ = static_cast<std::uint8_t>(capacity);
-}
-
-PacketPool& DefaultPacketPool() {
-  thread_local PacketPool pool;
-  return pool;
 }
 
 }  // namespace fncc

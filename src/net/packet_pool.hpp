@@ -20,13 +20,11 @@
 //     Each sweep job owns a full Simulator + pools + RNG built and torn
 //     down inside the job, and a partitioned run has one pool per lane;
 //     packets and blocks never cross lanes (a cross-lane handoff copies the
-//     header and the live INT entries, see EgressPort). MakePacket() and
-//     ClonePacket() follow the rule automatically: they allocate from the
-//     sole live Simulator's pool on the calling thread, and only fall back
-//     to the thread-local default pool (an escape hatch for single-threaded
-//     tests and tools, alive until thread exit) when no Simulator is alive;
-//     several live Simulators on one thread make the implicit pool
-//     ambiguous and debug-assert (see ImplicitPacketPool in packet.cpp).
+//     header and the live INT entries, see EgressPort). There is no
+//     implicit pool: every packet names the pool it comes from — model
+//     code its Simulator's packet_pool() (the active lane's), a test
+//     without a Simulator a PacketPool declared before anything that
+//     holds its packets.
 //   - Recycled packets are indistinguishable from fresh ones: Acquire()
 //     resets every field to its default and stamps a new uid, and the
 //     packet comes back with an empty INT stack and no block attached, so
@@ -58,9 +56,6 @@ class PacketPool {
   /// when the free list is non-empty (the steady state).
   PacketPtr Acquire();
 
-  /// Pool-backed equivalent of ClonePacket: every field copied, fresh uid.
-  PacketPtr Clone(const Packet& src);
-
   // -- Allocation telemetry (the counters behind BENCH_micro.json) --
 
   /// Packets ever heap-allocated by this pool == its high-water mark of
@@ -72,7 +67,7 @@ class PacketPool {
   [[nodiscard]] std::size_t outstanding() const {
     return arena_.size() - free_.size();
   }
-  /// Total Acquire()/Clone() calls served.
+  /// Total Acquire() calls served.
   [[nodiscard]] std::uint64_t acquires() const { return acquires_; }
   /// Acquires served from the free list (no heap allocation).
   [[nodiscard]] std::uint64_t recycles() const {
@@ -134,12 +129,5 @@ class PacketPool {
   std::uint64_t acquires_ = 0;
   std::uint64_t next_uid_;  // pool tag << kUidCounterBits | counter
 };
-
-/// Per-thread fallback pool behind MakePacket()/ClonePacket() when no
-/// Simulator is alive on the calling thread — an escape hatch for
-/// single-threaded tests and tools only. Simulation code must allocate
-/// from its Simulator's pool (directly or via the MakePacket routing);
-/// see the pool-ownership rule in the class comment above.
-PacketPool& DefaultPacketPool();
 
 }  // namespace fncc

@@ -80,7 +80,7 @@ void FlowTable::Release(FlowId id) {
   // done in ~FlowTable: at teardown the hosts are already gone and no
   // stat is read afterwards.)
   if (SenderQp* qp = s->qp()) qp->host()->ForgetQp(qp);
-  if (s->recv.claimed && !s->recv.done && s->recv.claimed_by != nullptr) {
+  if (s->recv.claimed_by != nullptr && !s->recv.done) {
     s->recv.claimed_by->DropInboundClaim();
   }
   DestroyQp(*s);

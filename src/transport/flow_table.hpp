@@ -14,6 +14,10 @@
 //     CC algorithm object) and the receiver-side RecvCtx. Register/Release
 //     keep the two views coherent (row.generation always equals the slot's
 //     generation; a slot without a live sender has row.qp == nullptr).
+//   - RecvCtx holds only what the receiver reads back (<= 64 bytes,
+//     static_asserted): what the ACK echoes of the request path (HPCC's
+//     INT stack, the Fig. 7 pathID) comes from the data packet being
+//     acknowledged, never from the slot.
 //   - Flows register at start: Register() mints the FlowId and constructs
 //     the SenderQp in place. Callers must treat the minted spec().id as
 //     authoritative; any caller-filled FlowSpec::id is overwritten. Ids are
@@ -60,7 +64,6 @@
 #include <vector>
 
 #include "net/packet.hpp"
-#include "sim/static_vector.hpp"
 #include "sim/time.hpp"
 #include "transport/hot_flow.hpp"
 #include "transport/sender_qp.hpp"
@@ -91,19 +94,14 @@ struct RecvCtx {
   // "Long ago" but safe to subtract from Now() (never -kTimeInfinity:
   // Now() - last_cnp must not overflow).
   Time last_cnp = -kSecond;
-  // First data packet seen: `claimed_by` counted this flow into its
-  // active-inbound N (the try_emplace "inserted" signal, made explicit).
-  // Release() uses it to undo the claim when a flow is torn down before
-  // its last byte arrived, so N never leaks upward.
+  // Set on the first data packet: `claimed_by` counted this flow into its
+  // active-inbound N. Release() uses it to undo the claim when a flow is
+  // torn down before its last byte arrived, so N never leaks upward.
   Host* claimed_by = nullptr;
-  bool claimed = false;
   bool done = false;
-  // HPCC: latest INT stack observed on this flow's data packets.
-  StaticVector<IntEntry, kMaxIntHops> last_int;
-  // Fig. 7 pathID of the request path, echoed into ACKs so the sender
-  // can verify path symmetry.
-  std::uint16_t last_path_id = 0;
 };
+
+static_assert(sizeof(RecvCtx) <= 64, "RecvCtx outgrew a cache line");
 
 /// One flow's cold slot: generation + receiver context + sender QP
 /// (in-place). Field order is the data path's access order — generation

@@ -127,8 +127,7 @@ void Host::HandleData(PacketPtr pkt) {
     ctx_ptr = &overflow_recv_[pkt->flow];
   }
   RecvCtx& ctx = *ctx_ptr;
-  if (!ctx.claimed) {
-    ctx.claimed = true;
+  if (ctx.claimed_by == nullptr) {
     ctx.claimed_by = this;
     ++active_inbound_;  // a new inbound QP connection
   }
@@ -147,11 +146,6 @@ void Host::HandleData(PacketPtr pkt) {
         static_cast<unsigned long long>(ctx.rcv_nxt));
   }
   // (seq < rcv_nxt: duplicate from go-back-N; just re-ACK.)
-
-  if (config_.attach_int_to_ack) {
-    ctx.last_int.assign(pkt->int_stack.begin(), pkt->int_stack.end());
-  }
-  ctx.last_path_id = pkt->path_id;
 
   MaybeSendCnp(*pkt, ctx);
 
@@ -180,7 +174,7 @@ void Host::SendAck(const Packet& data, RecvCtx& ctx) {
   ack->dport = data.sport;  // with the data path
   ack->size_bytes = kAckBytes;
   ack->seq = ctx.rcv_nxt;
-  ack->req_path_id = ctx.last_path_id;  // Fig. 7: request path's XOR id
+  ack->req_path_id = data.path_id;  // Fig. 7: request path's XOR id
   if (config_.echo_timestamp) ack->t_sent = data.t_sent;
   if (config_.report_concurrent_flows) {
     ack->concurrent_flows =
@@ -188,9 +182,9 @@ void Host::SendAck(const Packet& data, RecvCtx& ctx) {
   }
   if (config_.attach_int_to_ack) {
     // HPCC: the receiver echoes the request path's INT (request order).
-    ack->int_stack.assign(ctx.last_int.begin(), ctx.last_int.end());
+    ack->int_stack = data.int_stack;
     ack->int_reversed = false;
-    ack->size_bytes += static_cast<std::uint32_t>(ctx.last_int.size()) *
+    ack->size_bytes += static_cast<std::uint32_t>(data.int_stack.size()) *
                        kIntBytesPerHop;
   }
   nic_.Enqueue(std::move(ack));

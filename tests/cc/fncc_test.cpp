@@ -21,10 +21,10 @@ CcConfig Config() {
 
 /// FNCC-style ACK: INT accumulated on the return path (reversed order,
 /// stack[0] = last request hop) plus the receiver's N.
-PacketPtr FnccAck(std::uint64_t seq, Time ts, std::uint64_t tx,
-                  std::uint64_t qlen_last, std::uint64_t qlen_first,
-                  std::uint16_t n) {
-  PacketPtr ack = test::MakeAck(1, 0);
+PacketPtr FnccAck(PacketPool& pool, std::uint64_t seq, Time ts,
+                  std::uint64_t tx, std::uint64_t qlen_last,
+                  std::uint64_t qlen_first, std::uint16_t n) {
+  PacketPtr ack = test::MakeAck(pool, 1, 0);
   ack->seq = seq;
   ack->int_reversed = true;
   ack->concurrent_flows = n;
@@ -39,11 +39,14 @@ class FnccLhcsTest : public ::testing::Test {
   /// queue profile.
   void Drive(FnccAlgorithm& cc, std::uint64_t qlen_last,
              std::uint64_t qlen_first, std::uint16_t n) {
-    cc.OnAck(*FnccAck(1, Microseconds(1), 0, qlen_last, qlen_first, n), 1);
-    cc.OnAck(*FnccAck(2000, Microseconds(13), 150'000, qlen_last, qlen_first,
-                      n),
+    cc.OnAck(*FnccAck(pool_, 1, Microseconds(1), 0, qlen_last, qlen_first, n),
+             1);
+    cc.OnAck(*FnccAck(pool_, 2000, Microseconds(13), 150'000, qlen_last,
+                      qlen_first, n),
              2000);
   }
+
+  PacketPool pool_;
 };
 
 TEST_F(FnccLhcsTest, LastHopCongestionSnapsToFairShare) {
@@ -109,7 +112,8 @@ TEST_F(FnccLhcsTest, EqualCongestionEverywherePrefersEarlierHop) {
 }
 
 TEST(FnccTest, ReversedIntViewMapsHopsCorrectly) {
-  PacketPtr ack = test::MakeAck(1, 0);
+  PacketPool pool;
+  PacketPtr ack = test::MakeAck(pool, 1, 0);
   ack->int_reversed = true;
   ack->int_stack.push_back(IntEntry{100.0, 1, 10, 111});  // last request hop
   ack->int_stack.push_back(IntEntry{100.0, 2, 20, 222});
@@ -122,7 +126,8 @@ TEST(FnccTest, ReversedIntViewMapsHopsCorrectly) {
 }
 
 TEST(FnccTest, ForwardIntViewIsIdentity) {
-  PacketPtr ack = test::MakeAck(1, 0);
+  PacketPool pool;
+  PacketPtr ack = test::MakeAck(pool, 1, 0);
   ack->int_stack.push_back(IntEntry{100.0, 1, 10, 111});
   ack->int_stack.push_back(IntEntry{100.0, 2, 20, 222});
   const IntView view(*ack);
@@ -131,6 +136,7 @@ TEST(FnccTest, ForwardIntViewIsIdentity) {
 }
 
 TEST(FnccTest, InheritsHpccControlWhenNoLastHopCongestion) {
+  PacketPool pool;
   // With first-hop congestion only, FNCC must behave exactly like HPCC on
   // the same telemetry (its fast-notification advantage comes from the
   // switch, not the sender math).
@@ -143,8 +149,8 @@ TEST(FnccTest, InheritsHpccControlWhenNoLastHopCongestion) {
     const Time ts = Microseconds(1 + 12 * i);
     const std::uint64_t tx = 150'000ULL * i;
     // FNCC sees reversed order; HPCC sees request order — same telemetry.
-    auto fncc_ack = FnccAck(i * 1000, ts, tx, 0, 200'000, 2);
-    PacketPtr hpcc_ack = test::MakeAck(1, 0);
+    auto fncc_ack = FnccAck(pool, i * 1000, ts, tx, 0, 200'000, 2);
+    PacketPtr hpcc_ack = test::MakeAck(pool, 1, 0);
     hpcc_ack->seq = i * 1000;
     hpcc_ack->int_stack.push_back(IntEntry{kLine, ts, tx, 200'000});
     hpcc_ack->int_stack.push_back(IntEntry{kLine, ts, tx, 0});

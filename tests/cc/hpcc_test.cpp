@@ -20,9 +20,10 @@ CcConfig Config() {
 }
 
 /// ACK carrying a single-hop INT snapshot (request order).
-PacketPtr AckWithInt(std::uint64_t seq, Time ts, std::uint64_t tx_bytes,
-                     std::uint64_t qlen, double gbps = kLine) {
-  PacketPtr ack = test::MakeAck(1, 0);
+PacketPtr AckWithInt(PacketPool& pool, std::uint64_t seq, Time ts,
+                     std::uint64_t tx_bytes, std::uint64_t qlen,
+                     double gbps = kLine) {
+  PacketPtr ack = test::MakeAck(pool, 1, 0);
   ack->seq = seq;
   ack->int_stack.push_back(IntEntry{gbps, ts, tx_bytes, qlen});
   return ack;
@@ -36,21 +37,24 @@ TEST(HpccTest, StartsAtLineRateWithBdpWindow) {
 }
 
 TEST(HpccTest, FirstIntAckOnlyBootstraps) {
+  PacketPool pool;
   HpccAlgorithm cc(Config());
   const double w0 = cc.window_bytes();
-  cc.OnAck(*AckWithInt(1000, Microseconds(1), 10'000, 0), 2000);
+  cc.OnAck(*AckWithInt(pool, 1000, Microseconds(1), 10'000, 0), 2000);
   EXPECT_DOUBLE_EQ(cc.window_bytes(), w0);
 }
 
 TEST(HpccTest, AckWithoutIntIgnored) {
+  PacketPool pool;
   HpccAlgorithm cc(Config());
-  PacketPtr ack = test::MakeAck(1, 0);
+  PacketPtr ack = test::MakeAck(pool, 1, 0);
   ack->seq = 5000;
   cc.OnAck(*ack, 6000);
   EXPECT_DOUBLE_EQ(cc.window_bytes(), kBdp);
 }
 
 TEST(HpccTest, PinnedFullUtilizationConvergesToWaiFixedPoint) {
+  PacketPool pool;
   // Open-loop check: if U is *held* at exactly 1 (line-rate tx, no queue)
   // regardless of the window, W = eta*W + W_AI converges to the fixed
   // point W_AI/(1-eta). (In the closed loop, U tracks the actual rate, so
@@ -58,11 +62,11 @@ TEST(HpccTest, PinnedFullUtilizationConvergesToWaiFixedPoint) {
   HpccAlgorithm cc(Config());
   std::uint64_t tx = 0;
   Time ts = 0;
-  cc.OnAck(*AckWithInt(1, ts, tx, 0), 1);
+  cc.OnAck(*AckWithInt(pool, 1, ts, tx, 0), 1);
   for (int i = 2; i <= 200; ++i) {
     ts += Microseconds(12);
     tx += 150'000;  // 100 Gbps for 12 us
-    cc.OnAck(*AckWithInt(i * 1000, ts, tx, 0), i * 1000);
+    cc.OnAck(*AckWithInt(pool, i * 1000, ts, tx, 0), i * 1000);
   }
   EXPECT_NEAR(cc.utilization_estimate(), 1.0, 0.05);
   const double fixed_point =
@@ -71,32 +75,34 @@ TEST(HpccTest, PinnedFullUtilizationConvergesToWaiFixedPoint) {
 }
 
 TEST(HpccTest, QueueBuildupShrinksWindow) {
+  PacketPool pool;
   HpccAlgorithm cc(Config());
   std::uint64_t tx = 0;
   Time ts = 0;
-  cc.OnAck(*AckWithInt(1, ts, tx, 300'000), 1);
+  cc.OnAck(*AckWithInt(pool, 1, ts, tx, 300'000), 1);
   for (int i = 2; i <= 10; ++i) {
     ts += Microseconds(12);
     tx += 150'000;
     // Standing queue of 2 BDP: U ~ qlen/BDP + rate = 2 + 1 = 3.
-    cc.OnAck(*AckWithInt(i * 1000, ts, tx, 300'000), i * 1000);
+    cc.OnAck(*AckWithInt(pool, i * 1000, ts, tx, 300'000), i * 1000);
   }
   // W ~ Wc / (3 / 0.95): strong multiplicative decrease.
   EXPECT_LT(cc.window_bytes(), 0.5 * kBdp);
 }
 
 TEST(HpccTest, IdleLinkGrowsWindowAdditivelyThenMultiplicatively) {
+  PacketPool pool;
   CcConfig config = Config();
   config.wai_bytes = 1000;
   HpccAlgorithm cc(config);
   // Start from a crushed window by feeding congestion...
   std::uint64_t tx = 0;
   Time ts = 0;
-  cc.OnAck(*AckWithInt(1, ts, tx, 600'000), 1);
+  cc.OnAck(*AckWithInt(pool, 1, ts, tx, 600'000), 1);
   for (int i = 2; i <= 8; ++i) {
     ts += Microseconds(12);
     tx += 150'000;
-    cc.OnAck(*AckWithInt(i * 100, ts, tx, 600'000), i * 100);
+    cc.OnAck(*AckWithInt(pool, i * 100, ts, tx, 600'000), i * 100);
   }
   const double crushed = cc.window_bytes();
   ASSERT_LT(crushed, 0.3 * kBdp);
@@ -106,7 +112,7 @@ TEST(HpccTest, IdleLinkGrowsWindowAdditivelyThenMultiplicatively) {
   for (int i = 9; i <= 9 + config.max_stage - 1; ++i) {
     ts += Microseconds(12);
     tx += 15'000;  // 10% load
-    cc.OnAck(*AckWithInt(i * 1000, ts, tx, 0), i * 1000);
+    cc.OnAck(*AckWithInt(pool, i * 1000, ts, tx, 0), i * 1000);
     if (cc.window_bytes() > prev) ++additive_steps;
     prev = cc.window_bytes();
   }
@@ -115,45 +121,47 @@ TEST(HpccTest, IdleLinkGrowsWindowAdditivelyThenMultiplicatively) {
   const double before_mi = cc.window_bytes();
   ts += Microseconds(12);
   tx += 15'000;
-  cc.OnAck(*AckWithInt(30'000, ts, tx, 0), 30'000);
+  cc.OnAck(*AckWithInt(pool, 30'000, ts, tx, 0), 30'000);
   EXPECT_GT(cc.window_bytes(), before_mi * 2.0);
 }
 
 TEST(HpccTest, PerRttGatingFreezesReferenceWindow) {
+  PacketPool pool;
   CcConfig config = Config();
   config.wai_bytes = 1000;
   HpccAlgorithm cc(config);
   std::uint64_t tx = 0;
   Time ts = 0;
-  cc.OnAck(*AckWithInt(1, ts, tx, 0), 1);
+  cc.OnAck(*AckWithInt(pool, 1, ts, tx, 0), 1);
   // Commit an update with snd_nxt = 1'000'000: nothing below that sequence
   // may commit Wc again.
   ts += Microseconds(12);
   tx += 150'000;
-  cc.OnAck(*AckWithInt(2000, ts, tx, 0), 1'000'000);
+  cc.OnAck(*AckWithInt(pool, 2000, ts, tx, 0), 1'000'000);
   const double wc_after = cc.reference_window();
   for (int i = 0; i < 5; ++i) {
     ts += Microseconds(12);
     tx += 150'000;
-    cc.OnAck(*AckWithInt(3000 + i, ts, tx, 0), 1'000'000);
+    cc.OnAck(*AckWithInt(pool, 3000 + i, ts, tx, 0), 1'000'000);
   }
   EXPECT_DOUBLE_EQ(cc.reference_window(), wc_after);
   // Crossing the gate commits again.
   ts += Microseconds(12);
   tx += 15'000;
-  cc.OnAck(*AckWithInt(1'000'001, ts, tx, 0), 2'000'000);
+  cc.OnAck(*AckWithInt(pool, 1'000'001, ts, tx, 0), 2'000'000);
   EXPECT_NE(cc.reference_window(), wc_after);
 }
 
 TEST(HpccTest, RateTracksWindowOverBaseRtt) {
+  PacketPool pool;
   HpccAlgorithm cc(Config());
   std::uint64_t tx = 0;
   Time ts = 0;
-  cc.OnAck(*AckWithInt(1, ts, tx, 300'000), 1);
+  cc.OnAck(*AckWithInt(pool, 1, ts, tx, 300'000), 1);
   for (int i = 2; i <= 6; ++i) {
     ts += Microseconds(12);
     tx += 150'000;
-    cc.OnAck(*AckWithInt(i * 1000, ts, tx, 300'000), i * 1000);
+    cc.OnAck(*AckWithInt(pool, i * 1000, ts, tx, 300'000), i * 1000);
   }
   const double expected_gbps =
       cc.window_bytes() * 8.0 / (ToSeconds(kRtt) * 1e9);
@@ -161,10 +169,11 @@ TEST(HpccTest, RateTracksWindowOverBaseRtt) {
 }
 
 TEST(HpccTest, MostCongestedHopGovernsMultiHopPath) {
+  PacketPool pool;
   HpccAlgorithm cc(Config());
   auto multi = [&](std::uint64_t seq, Time ts, std::uint64_t tx,
                    std::uint64_t q0, std::uint64_t q1) {
-    PacketPtr ack = test::MakeAck(1, 0);
+    PacketPtr ack = test::MakeAck(pool, 1, 0);
     ack->seq = seq;
     ack->int_stack.push_back(IntEntry{kLine, ts, tx, q0});
     ack->int_stack.push_back(IntEntry{kLine, ts, tx, q1});
@@ -183,31 +192,33 @@ TEST(HpccTest, MostCongestedHopGovernsMultiHopPath) {
 }
 
 TEST(HpccTest, WindowNeverBelowFloorOrAboveBdp) {
+  PacketPool pool;
   HpccAlgorithm cc(Config());
   std::uint64_t tx = 0;
   Time ts = 0;
-  cc.OnAck(*AckWithInt(1, ts, tx, 10'000'000), 1);
+  cc.OnAck(*AckWithInt(pool, 1, ts, tx, 10'000'000), 1);
   for (int i = 2; i <= 40; ++i) {
     ts += Microseconds(12);
     tx += 150'000;
-    cc.OnAck(*AckWithInt(i * 1000, ts, tx, 10'000'000), i * 1000);
+    cc.OnAck(*AckWithInt(pool, i * 1000, ts, tx, 10'000'000), i * 1000);
   }
   EXPECT_GE(cc.window_bytes(),
             Config().min_window_fraction_of_mtu * kDefaultMtuBytes - 1e-9);
   for (int i = 41; i <= 200; ++i) {
     ts += Microseconds(12);
     tx += 1'000;
-    cc.OnAck(*AckWithInt(i * 1000, ts, tx, 0), i * 1000);
+    cc.OnAck(*AckWithInt(pool, i * 1000, ts, tx, 0), i * 1000);
   }
   EXPECT_LE(cc.window_bytes(), kBdp + 1.0);
 }
 
 TEST(HpccTest, StaleTimestampFallsBackToQueueTerm) {
+  PacketPool pool;
   HpccAlgorithm cc(Config());
   std::uint64_t tx = 100'000;
-  cc.OnAck(*AckWithInt(1, Microseconds(5), tx, 0), 1);
+  cc.OnAck(*AckWithInt(pool, 1, Microseconds(5), tx, 0), 1);
   // Same timestamp (stale All_INT_Table snapshot): must not divide by zero.
-  cc.OnAck(*AckWithInt(2000, Microseconds(5), tx, 300'000), 2000);
+  cc.OnAck(*AckWithInt(pool, 2000, Microseconds(5), tx, 300'000), 2000);
   SUCCEED();  // no crash; window may or may not move
 }
 

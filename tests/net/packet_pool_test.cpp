@@ -83,23 +83,76 @@ TEST(PacketPoolTest, RecycledPacketIsIndistinguishableFromFresh) {
   EXPECT_EQ(q->ingress_port, 0);
 }
 
-TEST(PacketPoolTest, CloneCopiesEverythingExceptUid) {
-  PacketPool pool;
-  PacketPtr src = pool.Acquire();
+// A cross-lane handoff (EgressPort::DrainHandoffs) re-materializes a packet
+// by copy-assigning the header onto one acquired from the destination
+// lane's pool: every field must arrive, and the INT entries must land in a
+// block of the target's own pool, never alias the source's.
+TEST(PacketPoolTest, CopyAssignmentCopiesEveryFieldIntoTargetsOwnBlock) {
+  PacketPool src_pool;
+  PacketPool dst_pool;
+  PacketPtr src = src_pool.Acquire();
   src->type = PacketType::kAck;
   src->flow = 3;
+  src->src = 4;
+  src->dst = 5;
+  src->sport = 6;
+  src->dport = 7;
+  src->size_bytes = kAckBytes + 9 * kIntBytesPerHop;
   src->seq = 1'000'000;
-  src->int_stack.push_back(IntEntry{400.0, 1, 2, 3});
+  src->payload_bytes = 8;
+  src->last_of_flow = true;
+  src->ecn_ce = true;
+  src->concurrent_flows = 9;
+  src->rocc_rate_gbps = 12.5;
   src->int_reversed = true;
+  src->t_sent = 11;
+  src->path_id = 0x5A5;
+  src->req_path_id = 0x3C3;
+  src->ingress_port = 13;
+  std::vector<IntEntry> hops;
+  for (int h = 0; h < 9; ++h) {  // past a small block: a full one
+    hops.push_back(IntEntry{25.0 * (h + 1), 100 + h,
+                            1'000u * static_cast<unsigned>(h),
+                            static_cast<std::uint64_t>(h) * 1'500});
+    src->int_stack.push_back(hops.back());
+  }
 
-  PacketPtr copy = pool.Clone(*src);
-  EXPECT_NE(copy->uid, src->uid);
-  EXPECT_EQ(copy->type, PacketType::kAck);
-  EXPECT_EQ(copy->flow, 3u);
-  EXPECT_EQ(copy->seq, 1'000'000u);
-  EXPECT_TRUE(copy->int_reversed);
-  ASSERT_EQ(copy->int_stack.size(), 1u);
-  EXPECT_EQ(copy->int_stack[0], (IntEntry{400.0, 1, 2, 3}));
+  PacketPtr dst = dst_pool.Acquire();
+  *dst = *src;
+  EXPECT_EQ(dst->uid, src->uid);
+  EXPECT_EQ(dst->type, PacketType::kAck);
+  EXPECT_EQ(dst->flow, 3u);
+  EXPECT_EQ(dst->src, 4);
+  EXPECT_EQ(dst->dst, 5);
+  EXPECT_EQ(dst->sport, 6);
+  EXPECT_EQ(dst->dport, 7);
+  EXPECT_EQ(dst->size_bytes, kAckBytes + 9 * kIntBytesPerHop);
+  EXPECT_EQ(dst->seq, 1'000'000u);
+  EXPECT_EQ(dst->payload_bytes, 8u);
+  EXPECT_TRUE(dst->last_of_flow);
+  EXPECT_TRUE(dst->ecn_ce);
+  EXPECT_EQ(dst->concurrent_flows, 9);
+  EXPECT_EQ(dst->rocc_rate_gbps, 12.5);
+  EXPECT_TRUE(dst->int_reversed);
+  EXPECT_EQ(dst->t_sent, 11);
+  EXPECT_EQ(dst->path_id, 0x5A5);
+  EXPECT_EQ(dst->req_path_id, 0x3C3);
+  EXPECT_EQ(dst->ingress_port, 13);
+  EXPECT_EQ(std::vector<IntEntry>(dst->int_stack.begin(),
+                                  dst->int_stack.end()),
+            hops);
+
+  // The entries live in a full block of dst_pool; src keeps its own.
+  EXPECT_NE(dst->int_stack.begin(), src->int_stack.begin());
+  EXPECT_EQ(dst->int_stack.capacity(), std::size_t{kMaxIntHops});
+  EXPECT_EQ(dst_pool.int_blocks_created(kMaxIntHops), 1u);
+  EXPECT_EQ(dst_pool.int_blocks_outstanding(), 1u);
+  EXPECT_EQ(src_pool.int_blocks_outstanding(), 1u);
+  src.reset();
+  EXPECT_EQ(dst->int_stack[8], hops[8]);  // unaffected by the source's release
+  dst.reset();
+  EXPECT_EQ(dst_pool.int_blocks_free(kMaxIntHops), 1u);
+  EXPECT_EQ(dst_pool.int_blocks_outstanding(), 0u);
 }
 
 TEST(PacketPoolTest, PoolSizeStaysBoundedUnderLongRun) {
@@ -129,55 +182,14 @@ TEST(PacketPoolTest, PoolSizeStaysBoundedUnderLongRun) {
 TEST(PacketPoolTest, UidsUniqueAcrossPools) {
   PacketPool a;
   PacketPool b;
+  PacketPool c;
   std::set<std::uint64_t> uids;
   for (int i = 0; i < 100; ++i) {
     uids.insert(a.Acquire()->uid);
     uids.insert(b.Acquire()->uid);
-    uids.insert(MakePacket()->uid);  // thread-default pool
+    uids.insert(c.Acquire()->uid);
   }
   EXPECT_EQ(uids.size(), 300u);
-}
-
-TEST(PacketPoolTest, MakePacketFallsBackToThreadDefaultPoolWithoutSim) {
-  // No Simulator alive on this thread: the escape-hatch pool serves.
-  ASSERT_EQ(Simulator::LiveOnThread(), 0);
-  PacketPool& pool = DefaultPacketPool();
-  const std::uint64_t before = pool.acquires();
-  PacketPtr p = MakePacket();
-  PacketPtr c = ClonePacket(*p);
-  EXPECT_EQ(pool.acquires(), before + 2);
-  EXPECT_NE(c->uid, p->uid);
-}
-
-TEST(PacketPoolTest, MakePacketRoutesToSoleLiveSimulatorPool) {
-  // With exactly one Simulator alive on the thread, the implicit path is
-  // per-Simulator: the packet joins that run's arena, not the thread pool.
-  Simulator sim;
-  ASSERT_EQ(Simulator::CurrentOnThread(), &sim);
-  PacketPool& default_pool = DefaultPacketPool();
-  const std::uint64_t default_before = default_pool.acquires();
-  const std::uint64_t sim_before = sim.packet_pool().acquires();
-  {
-    PacketPtr p = MakePacket();
-    PacketPtr c = ClonePacket(*p);
-    EXPECT_EQ(sim.packet_pool().acquires(), sim_before + 2);
-    EXPECT_EQ(default_pool.acquires(), default_before);
-    EXPECT_NE(c->uid, p->uid);
-  }  // both packets return to sim's pool before it dies
-}
-
-TEST(PacketPoolTest, SecondSimulatorMakesImplicitPoolAmbiguous) {
-  // Two live Simulators: CurrentOnThread() refuses to pick one. (The
-  // MakePacket fallback debug-asserts in this state; release builds fall
-  // back to the thread-default pool.)
-  Simulator sim_a;
-  EXPECT_EQ(Simulator::CurrentOnThread(), &sim_a);
-  {
-    Simulator sim_b;
-    EXPECT_EQ(Simulator::LiveOnThread(), 2);
-    EXPECT_EQ(Simulator::CurrentOnThread(), nullptr);
-  }
-  EXPECT_EQ(Simulator::CurrentOnThread(), &sim_a);
 }
 
 TEST(PacketPoolTest, SimulatorOwnsAPerRunPool) {

@@ -7,6 +7,7 @@
 #include "net/network.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
+#include "net/packet_pool.hpp"
 #include "net/egress_port.hpp"
 
 namespace fncc::test {
@@ -48,10 +49,14 @@ inline HostFactory SinkFactory() {
   };
 }
 
-inline PacketPtr MakeData(NodeId src, NodeId dst, std::uint32_t bytes,
-                          FlowId flow = 1, std::uint16_t sport = 1000,
+// Packet factories draw from the pool they are given: a test with a
+// Simulator passes sim.packet_pool(); one without declares a PacketPool
+// before anything that holds its packets.
+inline PacketPtr MakeData(PacketPool& pool, NodeId src, NodeId dst,
+                          std::uint32_t bytes, FlowId flow = 1,
+                          std::uint16_t sport = 1000,
                           std::uint16_t dport = 2000) {
-  PacketPtr p = MakePacket();
+  PacketPtr p = pool.Acquire();
   p->type = PacketType::kData;
   p->src = src;
   p->dst = dst;
@@ -63,10 +68,10 @@ inline PacketPtr MakeData(NodeId src, NodeId dst, std::uint32_t bytes,
   return p;
 }
 
-inline PacketPtr MakeAck(NodeId src, NodeId dst, FlowId flow = 1,
-                         std::uint16_t sport = 2000,
+inline PacketPtr MakeAck(PacketPool& pool, NodeId src, NodeId dst,
+                         FlowId flow = 1, std::uint16_t sport = 2000,
                          std::uint16_t dport = 1000) {
-  PacketPtr p = MakePacket();
+  PacketPtr p = pool.Acquire();
   p->type = PacketType::kAck;
   p->src = src;
   p->dst = dst;
